@@ -50,6 +50,19 @@ class ScenarioConfig:
             raise ValueError("T must be positive")
         if self.spectral_problem not in (1, 2):
             raise ValueError("spectral_problem must be 1 or 2")
+        if self.N < 2 or self.n % self.N != 0:
+            raise ValueError(f"need N >= 2 and n divisible by N, got "
+                             f"N={self.N}, n={self.n}")
+        for key in ("J_u", "J_g", "J_t"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
+        if not self.nu > 0:
+            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not self.contrast >= 1:
+            raise ValueError(f"contrast must be >= 1, got {self.contrast}")
+        if not -1.0 < self.eta < 0.5:
+            raise ValueError(f"eta must lie in (-1, 1/2), got {self.eta}")
 
 
 _INT_KEYS = {"N", "n", "J_u", "J_g", "J_t", "spectral_problem", "seed"}
@@ -119,6 +132,8 @@ def resolve_field(cfg: ScenarioConfig, ncells):
             raise ValueError(f"field file has {kappa.size} cells, "
                              f"grid needs {ncells}")
         return kappa, os.path.basename(cfg.field)
+    if os.sep in cfg.field or os.path.splitext(cfg.field)[1]:
+        raise ValueError(f"field file not found: {cfg.field!r}")
     n = int(round(np.sqrt(ncells)))
     kappa = med_mod.generate_high_contrast(n, cfg.field, cfg.contrast,
                                            cfg.seed)
@@ -135,7 +150,7 @@ class Pipeline:
         self.cfg = cfg
         self.grid = build_hierarchy(cfg.N, cfg.n)
         kappa, self.field_id = resolve_field(cfg, self.grid.num_fine_cells)
-        self.med = med_mod.build_medium(kappa, cfg.eta, None, cfg.alpha, cfg.nu)
+        self.med = med_mod.build_medium(kappa, cfg.eta, cfg.alpha, cfg.nu)
         self.bspec = fine_fem.BoundarySpec.model1() if cfg.model == "model1" \
             else fine_fem.BoundarySpec.model2()
         self.spaces = fine_fem.build_spaces(self.grid, self.bspec)
@@ -149,14 +164,14 @@ class Pipeline:
         self._dbasis_modes = 0
         self._vbasis = None
 
-    def fine_reference(self, J_t=None, scheme=None):
-        key = (J_t or self.cfg.J_t, scheme or self.cfg.scheme)
-        if key not in self._fine_cache:
-            cfg = ti.SchemeConfig(key[1], self.cfg.T, key[0])
-            self._fine_cache[key] = ti.run(
+    def fine_reference(self, J_t=None):
+        J_t = J_t or self.cfg.J_t
+        if J_t not in self._fine_cache:
+            cfg = ti.SchemeConfig(self.cfg.scheme, self.cfg.T, J_t)
+            self._fine_cache[J_t] = ti.run(
                 cfg, self.ops, self.spaces.free_u, self.spaces.free_g,
                 self.load, self.p0)
-        return self._fine_cache[key]
+        return self._fine_cache[J_t]
 
     def displacement_basis(self, max_modes):
         have_full = self._dbasis is not None and self._dbasis_modes is None
@@ -210,8 +225,7 @@ def export_field(grid, kind, vector, path):
     """Write a state component in the field file format.
 
     kind: 'pressure' (per cell), 'displacement_x'/'displacement_y'
-    (per node), 'velocity_magnitude' (cell average of the face field),
-    or 'dof' (raw vector, one column).
+    (per node), or 'velocity_magnitude' (cell average of the face field).
     """
     n = grid.n
     if kind == "pressure":
@@ -224,8 +238,6 @@ def export_field(grid, kind, vector, path):
         gx = 0.5 * (vector[e[:, 0]] + vector[e[:, 1]])
         gy = 0.5 * (vector[e[:, 2]] + vector[e[:, 3]])
         med_mod.save_field(path, np.hypot(gx, gy), rows=n, cols=n)
-    elif kind == "dof":
-        med_mod.save_field(path, vector, rows=len(vector), cols=1)
     else:
         raise ValueError(f"unknown export kind {kind!r}")
 
@@ -238,16 +250,12 @@ def _write_outputs(outdir, cfg, reports, max_res, pipeline, traj_f):
             fh.write(f"{k} = {v}\n")
     with open(os.path.join(outdir, "conservation.txt"), "w") as fh:
         fh.write(f"max_residual = {max_res:.6e}\n")
-    grid = pipeline.grid
     final = traj_f.final
-    export_field(grid, "pressure", final.p,
-                 os.path.join(outdir, "pressure.txt"))
-    export_field(grid, "displacement_x", final.u,
-                 os.path.join(outdir, "displacement_x.txt"))
-    export_field(grid, "displacement_y", final.u,
-                 os.path.join(outdir, "displacement_y.txt"))
-    export_field(grid, "velocity_magnitude", final.g,
-                 os.path.join(outdir, "velocity_magnitude.txt"))
+    for kind, vector in (("pressure", final.p), ("displacement_x", final.u),
+                         ("displacement_y", final.u),
+                         ("velocity_magnitude", final.g)):
+        export_field(pipeline.grid, kind, vector,
+                     os.path.join(outdir, f"{kind}.txt"))
 
 
 def run_scenario(cfg: ScenarioConfig, check=False):
@@ -268,8 +276,6 @@ def run_scenario(cfg: ScenarioConfig, check=False):
     if check:
         tol = 1e-9 * (np.abs(pipeline.load).max() + 1.0)
         ok = max_res <= tol
-        if cfg.N == 10 and cfg.J_u >= 20:
-            ok = ok and report.e_l2_p <= 0.1 and report.e_l2_u <= 0.1
     return report, max_res, ok
 
 
@@ -282,7 +288,7 @@ def run_sweep(cfg: ScenarioConfig, key, values):
             cfg = replace(cfg, J_u=max(values))
         pipeline = Pipeline(cfg)
         for v in values:
-            report, max_res, _ = pipeline_point(pipeline, key, v)
+            report, max_res, _ = pipeline.solve_point(**{key: v})
             reports.append((v, report, max_res))
     else:
         workers = int(os.environ.get("MSBIOT_WORKERS", "1"))
@@ -299,11 +305,6 @@ def run_sweep(cfg: ScenarioConfig, key, values):
     diagnostics.write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                           [r for _, r, _ in reports])
     return reports
-
-
-def pipeline_point(pipeline, key, value):
-    kwargs = {{"J_u": "J_u", "J_g": "J_g", "J_t": "J_t"}[key]: value}
-    return pipeline.solve_point(**kwargs)
 
 
 # ---- argparse front end ------------------------------------------------
@@ -326,7 +327,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one scenario")
     _add_common(p_run)
     p_run.add_argument("--check", action="store_true",
-                       help="exit nonzero if acceptance thresholds fail")
+                       help="exit nonzero if the conservation residual "
+                       "exceeds its tolerance")
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     _add_common(p_sweep)
     p_sweep.add_argument("--vary", required=True,

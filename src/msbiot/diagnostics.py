@@ -10,9 +10,8 @@ energy weight nu/kappa is available behind a flag.
 import csv
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from . import fine_fem
+from .fine_fem import energy_norm
 
 
 @dataclass
@@ -37,10 +36,6 @@ CSV_HEADER = ["N", "n", "Ju", "Jg", "Jt", "scheme", "field",
               "e_l2_u", "e_a_u", "e_l2_p", "e_l2_g"]
 
 
-def _norm(v, M):
-    return np.sqrt(max(float(v @ (M @ v)), 0.0))
-
-
 def compute_errors(ms_state, fine_state, fine_ops, grid, med,
                    velocity_weight="paper", meta=None):
     """Relative errors of a downscaled multiscale state against the fine
@@ -55,19 +50,19 @@ def compute_errors(ms_state, fine_state, fine_ops, grid, med,
         raise ValueError(f"unknown velocity weight {velocity_weight!r}")
     Mg = fine_fem.assemble_velocity_mass(grid, wg)
 
-    ref_u = _norm(fine_state.u, Mu)
-    ref_a = fine_fem.energy_norm(fine_state.u, fine_ops.A)
-    ref_p = _norm(fine_state.p, Mp)
-    ref_g = _norm(fine_state.g, Mg)
+    ref_u = energy_norm(fine_state.u, Mu)
+    ref_a = energy_norm(fine_state.u, fine_ops.A)
+    ref_p = energy_norm(fine_state.p, Mp)
+    ref_g = energy_norm(fine_state.g, Mg)
     if min(ref_u, ref_a, ref_p, ref_g) == 0.0:
         raise ZeroDivisionError("fine reference state has a zero norm; "
                                 "scenario is degenerate")
     meta = meta or {}
     return ErrorReport(
-        e_l2_u=_norm(ms_state.u - fine_state.u, Mu) / ref_u,
-        e_a_u=fine_fem.energy_norm(ms_state.u - fine_state.u, fine_ops.A) / ref_a,
-        e_l2_p=_norm(ms_state.p - fine_state.p, Mp) / ref_p,
-        e_l2_g=_norm(ms_state.g - fine_state.g, Mg) / ref_g,
+        e_l2_u=energy_norm(ms_state.u - fine_state.u, Mu) / ref_u,
+        e_a_u=energy_norm(ms_state.u - fine_state.u, fine_ops.A) / ref_a,
+        e_l2_p=energy_norm(ms_state.p - fine_state.p, Mp) / ref_p,
+        e_l2_g=energy_norm(ms_state.g - fine_state.g, Mg) / ref_g,
         **meta)
 
 
@@ -83,8 +78,5 @@ def write_csv(path, reports):
         writer.writerow(CSV_HEADER)
         for r in reports:
             d = asdict(r)
-            row = [d["N"], d["n"], d["Ju"], d["Jg"], d["Jt"],
-                   d["scheme"], d["field"]]
-            row += [f"{d[k]:.6g}" for k in ("e_l2_u", "e_a_u",
-                                            "e_l2_p", "e_l2_g")]
-            writer.writerow(row)
+            writer.writerow([f"{d[k]:.6g}" if k.startswith("e_") else d[k]
+                             for k in CSV_HEADER])

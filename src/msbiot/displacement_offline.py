@@ -18,17 +18,6 @@ from . import fine_fem
 _DENSE_EIG_LIMIT = 900  # local DOF count below which dense eigh is used
 
 
-def _node_dofs(nodes):
-    d = np.empty(2 * len(nodes), dtype=int)
-    d[0::2] = 2 * nodes
-    d[1::2] = 2 * nodes + 1
-    return d
-
-
-def _submat(M, rows, cols):
-    return M.tocsr()[rows][:, cols]
-
-
 def hat_value(grid, j, xy):
     """Bilinear hat of coarse vertex j evaluated at points xy."""
     X = grid.coarse_vertex_xy(j)
@@ -46,11 +35,11 @@ def local_displacement_eig(grid, med, j, J_u=None):
     local DOF vectors (interleaved over nb.fine_nodes).
     """
     nb = grid.vertex_neighborhood(j)
-    dofs = _node_dofs(nb.fine_nodes)
-    A = _submat(fine_fem.assemble_elasticity(grid, med.lam, med.mu,
-                                             nb.fine_cells), dofs, dofs)
-    S = _submat(fine_fem.assemble_vector_mass(grid, med.lam + 2.0 * med.mu,
-                                              nb.fine_cells), dofs, dofs)
+    dofs = fine_fem.node_dofs(nb.fine_nodes)
+    A = fine_fem.submat(fine_fem.assemble_elasticity(
+        grid, med.lam, med.mu, nb.fine_cells), dofs, dofs)
+    S = fine_fem.submat(fine_fem.assemble_vector_mass(
+        grid, med.lam + 2.0 * med.mu, nb.fine_cells), dofs, dofs)
     dim = len(dofs)
     if J_u is None:
         J_u = dim
@@ -64,8 +53,11 @@ def local_displacement_eig(grid, med, j, J_u=None):
         # shift-invert with a small negative shift; A alone is singular
         # (rigid translations)
         sigma = -1e-3 * (A.diagonal().sum() / S.diagonal().sum())
+        # a fixed start vector makes repeated calls return the same
+        # eigenvectors; ARPACK's own random start changes between calls
+        v0 = np.random.default_rng(0).standard_normal(dim)
         vals, vecs = spla.eigsh(A.tocsc(), k=J_u, M=S.tocsc(),
-                                sigma=sigma, which="LM")
+                                sigma=sigma, which="LM", v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     vals = np.where(np.abs(vals) < 1e-10 * max(abs(vals[-1]), 1.0), 0.0, vals)
@@ -100,9 +92,9 @@ def build_pou(grid, med, j):
         on_bnd = (ix == CX * m) | (ix == (CX + 1) * m) \
             | (iy == CY * m) | (iy == (CY + 1) * m)
 
-        dofs = _node_dofs(nodes)
-        A = _submat(fine_fem.assemble_elasticity(grid, med.lam, med.mu, cells),
-                    dofs, dofs)
+        dofs = fine_fem.node_dofs(nodes)
+        A = fine_fem.submat(fine_fem.assemble_elasticity(
+            grid, med.lam, med.mu, cells), dofs, dofs)
         bnd_dofs = np.repeat(on_bnd, 2)
         ii = np.flatnonzero(~bnd_dofs)
         bb = np.flatnonzero(bnd_dofs)
@@ -145,8 +137,7 @@ class VertexBasis:
         self.eigvals, eigvecs, self.nb = local_displacement_eig(
             grid, med, j, J_u)
         xi1, xi2, _ = build_pou(grid, med, j)
-        self.pou = (xi1, xi2)
-        self.fields = multiply_basis(self.pou, eigvecs)
+        self.fields = multiply_basis((xi1, xi2), eigvecs)
 
 
 class DisplacementOfflineBasis:
@@ -166,24 +157,10 @@ def assemble_R_u(basis: DisplacementOfflineBasis, J_u=None):
     coarse vertices (u = 0 on the whole boundary in both models).
     """
     grid = basis.grid
-    rows, cols, vals = [], [], []
-    free = []
-    col = 0
-    for vb in basis.vertex_bases:
-        keep = min(J_u, vb.fields.shape[1]) if J_u is not None \
-            else vb.fields.shape[1]
-        dofs = _node_dofs(vb.nb.fine_nodes)
-        interior = not grid.coarse_vertex_is_boundary(vb.vertex)
-        for k in range(keep):
-            rows.append(dofs)
-            cols.append(np.full(len(dofs), col))
-            vals.append(vb.fields[:, k])
-            free.append(interior)
-            col += 1
-    R_u = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * grid.num_fine_nodes, col)).tocsr()
-    return R_u, np.array(free)
+    return fine_fem.prolongation(
+        ((fine_fem.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u],
+          not grid.coarse_vertex_is_boundary(vb.vertex))
+         for vb in basis.vertex_bases), 2 * grid.num_fine_nodes)
 
 
 def build_coarse_pressure(grid):
@@ -193,21 +170,3 @@ def build_coarse_pressure(grid):
     return sp.coo_matrix(
         (np.ones(grid.num_fine_cells), (rows, cols)),
         shape=(grid.num_fine_cells, grid.num_coarse_cells)).tocsr()
-
-
-def dump_basis(basis: DisplacementOfflineBasis, directory, J_u=None):
-    """Write each vertex's product fields as DOF-vector field files."""
-    import os
-    from .medium import save_field
-    os.makedirs(directory, exist_ok=True)
-    grid = basis.grid
-    for vb in basis.vertex_bases:
-        keep = min(J_u, vb.fields.shape[1]) if J_u is not None \
-            else vb.fields.shape[1]
-        dofs = _node_dofs(vb.nb.fine_nodes)
-        for k in range(keep):
-            full = np.zeros(2 * grid.num_fine_nodes)
-            full[dofs] = vb.fields[:, k]
-            save_field(os.path.join(
-                directory, f"displacement_vertex{vb.vertex:04d}_mode{k:02d}.txt"),
-                full, rows=len(full), cols=1)

@@ -70,19 +70,17 @@ class FineSpaces:
 class OperatorSet:
     """Sparse discrete operators of the coupled variational system.
 
-    A: elasticity; B: pressure-to-displacement coupling; C: its
-    counterpart acting on pressure tests; D: storage mass; Ecoup:
-    velocity divergence tested with pressure; J: weighted velocity
-    mass; K: pressure tested with velocity divergence.  No boundary
-    masks are applied here.
+    A: elasticity; B: pressure-to-displacement coupling; D: storage
+    mass; J: weighted velocity mass; K: pressure tested with velocity
+    divergence.  The pressure equation couples through the adjoints:
+    B.T tests the displacement divergence with pressure and K.T the
+    velocity divergence.  No boundary masks are applied here.
     """
 
-    def __init__(self, A, B, C, D, Ecoup, J, K):
+    def __init__(self, A, B, D, J, K):
         self.A = A
         self.B = B
-        self.C = C
         self.D = D
-        self.Ecoup = Ecoup
         self.J = J
         self.K = K
 
@@ -139,12 +137,20 @@ _RT_MASS[:2, :2] = [[1 / 3, 1 / 6], [1 / 6, 1 / 3]]
 _RT_MASS[2:, 2:] = [[1 / 3, 1 / 6], [1 / 6, 1 / 3]]
 
 
-def _udofs(cell_nodes):
-    """Interleaved displacement DOFs per cell, shape (ncell, 8)."""
-    d = np.empty((cell_nodes.shape[0], 8), dtype=int)
-    d[:, 0::2] = 2 * cell_nodes
-    d[:, 1::2] = 2 * cell_nodes + 1
-    return d
+def node_dofs(nodes):
+    """Interleaved displacement DOFs of fine nodes (node k -> 2k, 2k+1).
+
+    The last axis doubles: a flat node list gives a flat DOF list, and
+    (ncell, 4) cell nodes give (ncell, 8) cell DOFs.
+    """
+    nodes = np.asarray(nodes)
+    return np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(
+        nodes.shape[:-1] + (-1,))
+
+
+def submat(M, rows, cols):
+    """Rows and columns of a sparse matrix, as CSR."""
+    return M.tocsr()[rows][:, cols]
 
 
 def _scatter(dofs_r, dofs_c, elems, shape):
@@ -152,6 +158,29 @@ def _scatter(dofs_r, dofs_c, elems, shape):
     rows = np.repeat(dofs_r, nc, axis=1).ravel()
     cols = np.tile(dofs_c, (1, nr)).ravel()
     return sp.coo_matrix((elems.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def prolongation(blocks, nrows):
+    """Sparse prolongation whose columns are local fields placed in the
+    global numbering, block after block.
+
+    blocks yields (rows, fields, free): the global index of each local
+    DOF, the local field columns to keep, and whether those columns are
+    free of essential boundary conditions.  Returns (R, free_cols).
+    """
+    rows, cols, vals, free = [], [], [], []
+    ncol = 0
+    for idx, fields, is_free in blocks:
+        k = fields.shape[1]
+        rows.append(np.tile(idx, k))
+        cols.append(np.repeat(np.arange(ncol, ncol + k), len(idx)))
+        vals.append(fields.T.ravel())
+        free.append(np.full(k, is_free))
+        ncol += k
+    R = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nrows, ncol)).tocsr()
+    return R, np.concatenate(free)
 
 
 # ---- assembly routines -------------------------------------------------
@@ -163,7 +192,7 @@ def assemble_elasticity(grid, lam, mu, cells=None):
     lam = np.asarray(lam)[cells]
     mu = np.asarray(mu)[cells]
     elems = (2.0 * mu)[:, None, None] * _K_MU + lam[:, None, None] * _K_DIV
-    dofs = _udofs(grid.cell_nodes[cells])
+    dofs = node_dofs(grid.cell_nodes[cells])
     ndof = 2 * grid.num_fine_nodes
     return _scatter(dofs, dofs, elems, (ndof, ndof))
 
@@ -177,7 +206,7 @@ def assemble_vector_mass(grid, coeff=None, cells=None):
     Mv[0::2, 0::2] = _M_SC
     Mv[1::2, 1::2] = _M_SC
     elems = (c * grid.h ** 2)[:, None, None] * Mv
-    dofs = _udofs(grid.cell_nodes[cells])
+    dofs = node_dofs(grid.cell_nodes[cells])
     ndof = 2 * grid.num_fine_nodes
     return _scatter(dofs, dofs, elems, (ndof, ndof))
 
@@ -189,23 +218,10 @@ def assemble_coupling_B(grid, alpha):
     dv[0::2] = _DIVX
     dv[1::2] = _DIVY
     elems = (alpha * grid.h) * np.tile(dv, (len(cells), 1))[:, :, None]
-    dofs_u = _udofs(grid.cell_nodes)
+    dofs_u = node_dofs(grid.cell_nodes)
     dofs_p = cells[:, None]
     return _scatter(dofs_u, dofs_p, elems,
                     (2 * grid.num_fine_nodes, grid.num_fine_cells))
-
-
-def assemble_coupling_C(grid, alpha):
-    """C[q, v] = int alpha q (div v), shape (ndof_p, ndof_u)."""
-    cells = np.arange(grid.num_fine_cells)
-    dv = np.empty(8)
-    dv[0::2] = _DIVX
-    dv[1::2] = _DIVY
-    elems = (alpha * grid.h) * np.tile(dv, (len(cells), 1))[:, None, :]
-    dofs_u = _udofs(grid.cell_nodes)
-    dofs_p = cells[:, None]
-    return _scatter(dofs_p, dofs_u, elems,
-                    (grid.num_fine_cells, 2 * grid.num_fine_nodes))
 
 
 def assemble_velocity_mass(grid, coeff, cells=None):
@@ -227,15 +243,6 @@ def assemble_div_K(grid):
     elems = grid.h * np.tile(s, (len(cells), 1))[:, :, None]
     return _scatter(grid.cell_edges, cells[:, None], elems,
                     (grid.num_fine_edges, grid.num_fine_cells))
-
-
-def assemble_div_E(grid):
-    """E[q, z] = int q (div z), shape (ndof_p, ndof_g)."""
-    cells = np.arange(grid.num_fine_cells)
-    s = np.array([-1.0, 1.0, -1.0, 1.0])
-    elems = grid.h * np.tile(s, (len(cells), 1))[:, None, :]
-    return _scatter(cells[:, None], grid.cell_edges, elems,
-                    (grid.num_fine_cells, grid.num_fine_edges))
 
 
 def assemble_divdiv(grid, cells=None):
@@ -263,12 +270,10 @@ def assemble_operators(spaces: FineSpaces, med) -> OperatorSet:
                          f"{grid.num_fine_cells}")
     A = assemble_elasticity(grid, med.lam, med.mu)
     B = assemble_coupling_B(grid, med.alpha)
-    C = assemble_coupling_C(grid, med.alpha)
     D = assemble_pressure_mass(grid, 1.0 / med.M)
-    Ecoup = assemble_div_E(grid)
     J = assemble_velocity_mass(grid, med.nu / med.kappa)
     K = assemble_div_K(grid)
-    return OperatorSet(A, B, C, D, Ecoup, J, K)
+    return OperatorSet(A, B, D, J, K)
 
 
 def assemble_load(spaces: FineSpaces, f, t=0.0):

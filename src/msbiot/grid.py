@@ -72,11 +72,6 @@ class GridHierarchy:
             np.full(self.num_fine_vedges, VERTICAL, dtype=np.int8),
             np.full(n * (n + 1), HORIZONTAL, dtype=np.int8)])
 
-        # orientation of every coarse edge
-        self.coarse_edge_orientation = np.concatenate([
-            np.full(self.num_coarse_vedges, VERTICAL, dtype=np.int8),
-            np.full(N * (N + 1), HORIZONTAL, dtype=np.int8)])
-
     # ---- index helpers -------------------------------------------------
 
     def fine_node_xy(self, idx):
@@ -94,6 +89,18 @@ class GridHierarchy:
         j = np.asarray(j)
         return np.stack([(j % (self.N + 1)) * self.H,
                          (j // (self.N + 1)) * self.H], axis=-1)
+
+    def fine_edge_cells(self, e):
+        """Cells on the two sides of fine edge e, (before, after) along
+        its normal; None on a side outside the domain."""
+        n = self.n
+        if e < self.num_fine_vedges:
+            iy, ix = divmod(e, n + 1)
+            return (iy * n + ix - 1 if ix > 0 else None,
+                    iy * n + ix if ix < n else None)
+        iy, ix = divmod(e - self.num_fine_vedges, n)
+        return ((iy - 1) * n + ix if iy > 0 else None,
+                iy * n + ix if iy < n else None)
 
     def coarse_edge_components(self, i):
         """Return (orientation, IX, IY) of coarse edge i."""
@@ -151,7 +158,7 @@ class GridHierarchy:
             for CX in (VX - 1, VX):
                 if 0 <= CX < N and 0 <= CY < N:
                     members.append(CY * N + CX)
-        return Neighborhood("vertex", j, np.array(members), self)
+        return Neighborhood(np.array(members), self)
 
     def edge_neighborhood(self, i):
         """Union of the coarse cells adjacent to coarse edge i."""
@@ -166,7 +173,7 @@ class GridHierarchy:
             for CY in (IY - 1, IY):
                 if 0 <= CY < N:
                     members.append(CY * N + IX)
-        return Neighborhood("edge", i, np.array(members), self)
+        return Neighborhood(np.array(members), self)
 
     # ---- boundary ------------------------------------------------------
 
@@ -200,11 +207,8 @@ class Neighborhood:
     ``fine_cells``, ``fine_nodes``, ``fine_edges``.
     """
 
-    def __init__(self, kind, seed, members, grid):
-        self.kind = kind
-        self.seed = seed
+    def __init__(self, members, grid):
         self.members = members
-        self.grid = grid
 
         mask = np.isin(grid.coarse_cell_of_fine_cell, members)
         self.fine_cells = np.flatnonzero(mask)

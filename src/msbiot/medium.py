@@ -47,19 +47,14 @@ def derive_lame(E, eta):
     return lam, mu
 
 
-def build_medium(kappa_field, eta=0.2, M_field=None, alpha=0.9, nu=1.0):
+def build_medium(kappa_field, eta=0.2, alpha=0.9, nu=1.0):
     """Assemble a medium with E = kappa cellwise.
 
-    If M_field is omitted, the Biot modulus is 1 in the background
-    (kappa at its minimum value) and 10 in the inclusion region.
+    The Biot modulus is 1 in the background (kappa at its minimum value)
+    and 10 in the inclusion region.
     """
     kappa_field = np.asarray(kappa_field, dtype=float)
-    if M_field is None:
-        M_field = np.where(kappa_field > kappa_field.min(), 10.0, 1.0)
-    else:
-        M_field = np.asarray(M_field, dtype=float)
-        if M_field.shape != kappa_field.shape:
-            raise ValueError("M_field shape does not match kappa_field")
+    M_field = np.where(kappa_field > kappa_field.min(), 10.0, 1.0)
     return PoroelasticMedium(kappa_field, kappa_field.copy(), eta,
                              M_field, alpha, nu)
 

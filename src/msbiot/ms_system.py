@@ -1,7 +1,8 @@
 """Coarse-system projection, multiscale solves, and conservation checks.
 
 Coarse operators are congruence projections R^T M R of the fine ones
-with the matching prolongation pair.  The projected system is advanced
+with the matching prolongation pair; the adjoint couplings B.T and K.T
+are transposes of the projected B and K.  The projected system is advanced
 by the same time integrator as the fine reference, then downscaled back
 to fine-grid coefficient vectors.
 """
@@ -55,15 +56,9 @@ def project_operators(fine_ops: OperatorSet, ms: MultiscaleSpace) -> OperatorSet
     return OperatorSet(
         A=(Ru.T @ fine_ops.A @ Ru).tocsr(),
         B=(Ru.T @ fine_ops.B @ Rp).tocsr(),
-        C=(Rp.T @ fine_ops.C @ Ru).tocsr(),
         D=(Rp.T @ fine_ops.D @ Rp).tocsr(),
-        Ecoup=(Rp.T @ fine_ops.Ecoup @ Rg).tocsr(),
         J=(Rg.T @ fine_ops.J @ Rg).tocsr(),
         K=(Rg.T @ fine_ops.K @ Rp).tocsr())
-
-
-def project_load(ms: MultiscaleSpace, load):
-    return ms.R_p.T @ load
 
 
 def project_initial_pressure(ms: MultiscaleSpace, p0_fine):
@@ -79,21 +74,16 @@ def downscale(ms: MultiscaleSpace, state: ti.SystemState) -> ti.SystemState:
 
 
 def solve_multiscale(fine_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
-                     loads, p0_fine, keep_history=True):
-    """Run the projected system and downscale every kept state.
+                     loads, p0_fine):
+    """Run the projected system and downscale every state.
 
     Returns (coarse trajectory, fine-representation trajectory).
     """
     coarse_ops = project_operators(fine_ops, ms)
-    if callable(loads):
-        coarse_loads = lambda t: project_load(ms, loads(t))
-    elif isinstance(loads, (list, tuple)):
-        coarse_loads = [project_load(ms, L) for L in loads]
-    else:
-        coarse_loads = project_load(ms, loads)
+    coarse_loads = [ms.R_p.T @ ti.step_load(loads, k, (k + 1) * cfg.tau)
+                    for k in range(cfg.J_t)]
     p0_c = project_initial_pressure(ms, p0_fine)
-    traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads,
-                    p0_c, keep_history=keep_history)
+    traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads, p0_c)
     traj_f = ti.Trajectory([downscale(ms, s) for s in traj_c.states])
     return traj_c, traj_f
 
@@ -107,7 +97,8 @@ def conservation_report(fine_ops, R_p, traj_fine: ti.Trajectory, loads, tau,
     indicator of a coarse cell is an admissible pressure test function,
     so the residual is bounded by the linear-solver tolerance.
 
-    Returns (max_residual, residuals[step, coarse_cell]).
+    Returns (max_residual, residuals[step, coarse_cell]).  The states
+    must be consecutive steps, as run with keep_history=True.
     """
     states = traj_fine.states
     nsteps = len(states) - 1
@@ -116,19 +107,18 @@ def conservation_report(fine_ops, R_p, traj_fine: ti.Trajectory, loads, tau,
     for k in range(1, len(states)):
         s_new, s_old = states[k], states[k - 1]
         s_older = states[k - 2] if k >= 2 else states[0]
-        if callable(loads):
-            load = loads(s_new.t)
-        elif isinstance(loads, (list, tuple)):
-            load = loads[k - 1]
-        else:
-            load = loads
+        if not np.isclose(s_new.t - s_old.t, tau, rtol=1e-9, atol=0.0):
+            raise ValueError(
+                f"states {k - 1} and {k} lie {s_new.t - s_old.t:g} apart, "
+                f"not one step tau={tau:g}; the residual needs every step "
+                f"(keep_history=True)")
         if scheme == "fixed_stress":
             du = s_old.u - s_older.u
         else:
             du = s_new.u - s_old.u
-        r = fine_ops.Ecoup @ s_new.g \
+        r = fine_ops.K.T @ s_new.g \
             + fine_ops.D @ ((s_new.p - s_old.p) / tau) \
-            + fine_ops.C @ (du / tau) \
-            - load
+            + fine_ops.B.T @ (du / tau) \
+            - ti.step_load(loads, k - 1, s_new.t)
         res[k - 1] = np.abs(R_p.T @ r)
     return res.max(initial=0.0), res

@@ -7,11 +7,14 @@ and a monolithic fully-coupled solve.  All essential boundary values
 are homogeneous, so masked DOFs simply stay zero.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .fine_fem import submat
 
 
 @dataclass
@@ -51,10 +54,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _restrict(M, rows, cols):
-    return M.tocsr()[rows][:, cols] if sp.issparse(M) else M[np.ix_(rows, cols)]
-
-
 class _Solver:
     """Direct sparse factorization with iterative refinement.
 
@@ -85,6 +84,9 @@ class _Solver:
                 or np.linalg.norm(self.M @ x - rhs) > 1e-6 * scale:
             # rank-deficient but consistent systems occur for
             # full-retention reduced spaces; take the min-norm solution
+            warnings.warn(f"{self.name}: dense least-squares fallback on a "
+                          f"{self.M.shape[0]}x{self.M.shape[1]} system",
+                          RuntimeWarning, stacklevel=2)
             x = np.linalg.lstsq(self.M.toarray(), rhs, rcond=None)[0]
         res = np.linalg.norm(self.M @ x - rhs)
         if scale > 0 and res > 1e-6 * scale:
@@ -93,80 +95,75 @@ class _Solver:
         return x
 
 
-class FixedStressStepper:
-    """One step of the sequential splitting: coupled flow block, then
-    elasticity driven by the fresh pressure."""
+class _Stepper:
+    """What both schemes share: free-DOF index sets, the blocks
+    restricted to them (each scheme's _factor builds its solvers), the
+    pressure right-hand side, whose couplings are the adjoints B.T and
+    K.T, and the scatter of a solution to full-length vectors."""
 
     def __init__(self, ops, free_u, free_g, tau):
         self.tau = tau
-        self.free_u = free_u
-        self.free_g = free_g
-        iu = np.flatnonzero(free_u)
-        ig = np.flatnonzero(free_g)
+        self._iu = iu = np.flatnonzero(free_u)
+        self._ig = ig = np.flatnonzero(free_g)
         ip = np.arange(ops.D.shape[0])
-        self._iu, self._ig = iu, ig
-        J_ff = _restrict(ops.J, ig, ig)
-        K_fp = _restrict(ops.K, ig, ip)
-        E_pf = _restrict(ops.Ecoup, ip, ig)
-        flow = sp.bmat([[J_ff, -K_fp], [E_pf, ops.D / tau]], format="csc")
-        self.flow = _Solver(flow, "flow block")
-        self.elas = _Solver(_restrict(ops.A, iu, iu), "elasticity block")
-        self.B_fp = _restrict(ops.B, iu, ip)
-        self.C = ops.C
+        self.Bt = ops.B.T
         self.D = ops.D
         self.ndof_u = ops.A.shape[0]
         self.ndof_g = ops.J.shape[0]
+        self.B_fp = submat(ops.B, iu, ip)
+        self._factor(submat(ops.A, iu, iu), submat(ops.J, ig, ig),
+                     submat(ops.K, ig, ip))
+
+    def _rhs_p(self, load, du, p):
+        """Pressure right-hand side with the displacement change du
+        moved to it."""
+        return load - self.Bt @ (du / self.tau) + self.D @ (p / self.tau)
+
+    def _state(self, prev, u_free, g_free, p):
+        u = np.zeros(self.ndof_u)
+        u[self._iu] = u_free
+        g = np.zeros(self.ndof_g)
+        g[self._ig] = g_free
+        return SystemState(u, g, p, prev.t + self.tau)
+
+
+class FixedStressStepper(_Stepper):
+    """One step of the sequential splitting: coupled flow block, then
+    elasticity driven by the fresh pressure.  The flow block sees the
+    displacement change of the previous step."""
+
+    def _factor(self, A_ff, J_ff, K_fp):
+        self.flow = _Solver(sp.bmat([[J_ff, -K_fp],
+                                     [K_fp.T, self.D / self.tau]],
+                                    format="csc"), "flow block")
+        self.elas = _Solver(A_ff, "elasticity block")
 
     def step(self, state, u_prev, load):
-        tau, ig, iu = self.tau, self._ig, self._iu
-        rhs_p = load - self.C @ ((state.u - u_prev) / tau) \
-            + self.D @ (state.p / tau)
-        rhs = np.concatenate([np.zeros(len(ig)), rhs_p])
-        sol = self.flow.solve(rhs)
-        g = np.zeros(self.ndof_g)
-        g[ig] = sol[:len(ig)]
-        p = sol[len(ig):]
-        u = np.zeros(self.ndof_u)
-        u[iu] = self.elas.solve(self.B_fp @ p)
-        return SystemState(u, g, p, state.t + tau)
+        ng = len(self._ig)
+        rhs_p = self._rhs_p(load, state.u - u_prev, state.p)
+        sol = self.flow.solve(np.concatenate([np.zeros(ng), rhs_p]))
+        p = sol[ng:]
+        return self._state(state, self.elas.solve(self.B_fp @ p), sol[:ng], p)
 
 
-class FullyCoupledStepper:
+class FullyCoupledStepper(_Stepper):
     """One step of the monolithic three-field solve."""
 
-    def __init__(self, ops, free_u, free_g, tau):
-        self.tau = tau
-        iu = np.flatnonzero(free_u)
-        ig = np.flatnonzero(free_g)
-        ip = np.arange(ops.D.shape[0])
-        self._iu, self._ig = iu, ig
-        A_ff = _restrict(ops.A, iu, iu)
-        B_fp = _restrict(ops.B, iu, ip)
-        J_ff = _restrict(ops.J, ig, ig)
-        K_fp = _restrict(ops.K, ig, ip)
-        C_pf = _restrict(ops.C, ip, iu)
-        E_pf = _restrict(ops.Ecoup, ip, ig)
-        mono = sp.bmat([
-            [A_ff, None, -B_fp],
+    def _factor(self, A_ff, J_ff, K_fp):
+        tau = self.tau
+        self.mono = _Solver(sp.bmat([
+            [A_ff, None, -self.B_fp],
             [None, J_ff, -K_fp],
-            [C_pf / tau, E_pf, ops.D / tau]], format="csc")
-        self.mono = _Solver(mono, "monolithic block")
-        self.C = ops.C
-        self.D = ops.D
-        self.ndof_u = ops.A.shape[0]
-        self.ndof_g = ops.J.shape[0]
+            [self.B_fp.T / tau, K_fp.T, self.D / tau]], format="csc"),
+            "monolithic block")
 
     def step(self, state, u_prev, load):
-        tau, iu, ig = self.tau, self._iu, self._ig
-        rhs_p = load + self.C @ (state.u / tau) + self.D @ (state.p / tau)
-        rhs = np.concatenate([np.zeros(len(iu) + len(ig)), rhs_p])
-        sol = self.mono.solve(rhs)
-        u = np.zeros(self.ndof_u)
-        g = np.zeros(self.ndof_g)
-        u[iu] = sol[:len(iu)]
-        g[ig] = sol[len(iu):len(iu) + len(ig)]
-        p = sol[len(iu) + len(ig):]
-        return SystemState(u, g, p, state.t + tau)
+        nu, ng = len(self._iu), len(self._ig)
+        # the new displacement is an unknown here, so only the old one
+        # goes to the right-hand side
+        rhs_p = self._rhs_p(load, -state.u, state.p)
+        sol = self.mono.solve(np.concatenate([np.zeros(nu + ng), rhs_p]))
+        return self._state(state, sol[:nu], sol[nu:nu + ng], sol[nu + ng:])
 
 
 def initialize(ops, free_u, free_g, p0):
@@ -178,16 +175,30 @@ def initialize(ops, free_u, free_g, p0):
     iu = np.flatnonzero(free_u)
     ig = np.flatnonzero(free_g)
     p0 = np.asarray(p0, dtype=float)
+    ip = np.arange(len(p0))
     u = np.zeros(ops.A.shape[0])
     if len(iu):
-        u[iu] = _Solver(_restrict(ops.A, iu, iu), "initial elasticity").solve(
-            _restrict(ops.B, iu, np.arange(len(p0))) @ p0)
+        u[iu] = _Solver(submat(ops.A, iu, iu), "initial elasticity").solve(
+            submat(ops.B, iu, ip) @ p0)
     g = np.zeros(ops.J.shape[0])
     if len(ig):
-        g[ig] = _Solver(_restrict(ops.J, ig, ig), "initial flow").solve(
-            _restrict(ops.K, ig, np.arange(len(p0))) @ p0)
+        g[ig] = _Solver(submat(ops.J, ig, ig), "initial flow").solve(
+            submat(ops.K, ig, ip) @ p0)
     state = SystemState(u, g, p0.copy(), 0.0)
     return state, u.copy()
+
+
+def step_load(loads, k, t):
+    """Load of step k, the step that ends at time t.
+
+    loads: a per-cell load vector used at every step, a callable
+    evaluated at t, or a list of one vector per step.
+    """
+    if callable(loads):
+        return loads(t)
+    if isinstance(loads, (list, tuple)):
+        return loads[k]
+    return loads
 
 
 def make_stepper(cfg: SchemeConfig, ops, free_u, free_g):
@@ -200,21 +211,15 @@ def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
         keep_history=True):
     """Advance J_t uniform steps from the initial pressure p0.
 
-    loads: per-cell load vector, or callable(t) evaluated at the end of
-    each step interval, or a list of J_t vectors.
+    loads: as step_load takes them; a callable is evaluated at the end
+    of each step interval.
     """
     stepper = make_stepper(cfg, ops, free_u, free_g)
     state, u_prev = initialize(ops, free_u, free_g, p0)
     traj = Trajectory([state.copy()])
     for k in range(cfg.J_t):
-        t_next = (k + 1) * cfg.tau
-        if callable(loads):
-            load = loads(t_next)
-        elif isinstance(loads, (list, tuple)):
-            load = loads[k]
-        else:
-            load = loads
-        new = stepper.step(state, u_prev, load)
+        new = stepper.step(state, u_prev,
+                           step_load(loads, k, (k + 1) * cfg.tau))
         u_prev = state.u
         state = new
         if keep_history or k == cfg.J_t - 1:

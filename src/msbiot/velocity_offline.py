@@ -22,23 +22,9 @@ from . import fine_fem
 def edge_kappa(grid, med, fine_edges):
     """Harmonic mean of kappa across each fine edge (one-sided on the
     domain boundary)."""
-    n = grid.n
-    fine_edges = np.asarray(fine_edges)
     out = np.empty(len(fine_edges), dtype=float)
-    kap = med.kappa
     for k, e in enumerate(fine_edges):
-        if e < grid.num_fine_vedges:
-            ix, iy = e % (n + 1), e // (n + 1)
-            cells = [iy * n + (ix - 1)] if ix > 0 else []
-            if ix < n:
-                cells.append(iy * n + ix)
-        else:
-            r = e - grid.num_fine_vedges
-            ix, iy = r % n, r // n
-            cells = [(iy - 1) * n + ix] if iy > 0 else []
-            if iy < n:
-                cells.append(iy * n + ix)
-        vals = kap[cells]
+        vals = med.kappa[[c for c in grid.fine_edge_cells(e) if c is not None]]
         out[k] = len(vals) / np.sum(1.0 / vals)
     return out
 
@@ -87,9 +73,9 @@ class EdgeSnapshots:
                 minlength=len(edges))
             interior = counts == 2
 
-            Jb = _submat(fine_fem.assemble_velocity_mass(
+            Jb = fine_fem.submat(fine_fem.assemble_velocity_mass(
                 grid, med.nu / med.kappa, cells), edges, edges)
-            Kb = fine_fem.assemble_div_K(grid).tocsr()[edges][:, cells]
+            Kb = fine_fem.submat(fine_fem.assemble_div_K(grid), edges, cells)
 
             ii = np.flatnonzero(interior)
             bb = np.flatnonzero(~interior)
@@ -126,42 +112,13 @@ class EdgeSnapshots:
         """Jump of each snapshot pressure across every fine edge of the
         coarse edge; single-sided trace on a boundary edge."""
         nb = self.nb
-        n = grid.n
-        l = self.vel.shape[1]
-        jumps = np.zeros((len(self.fine_edges_on), l))
+        jumps = np.zeros((len(self.fine_edges_on), self.vel.shape[1]))
         cc = grid.coarse_cell_of_fine_cell
-        plus = self.nb.members[self.block_signs > 0] if np.any(
-            self.block_signs > 0) else None
         for k, e in enumerate(self.fine_edges_on):
-            if e < grid.num_fine_vedges:
-                ix, iy = e % (n + 1), e // (n + 1)
-                before = iy * n + (ix - 1) if ix > 0 else None
-                after = iy * n + ix if ix < n else None
-            else:
-                r = e - grid.num_fine_vedges
-                ix, iy = r % n, r // n
-                before = (iy - 1) * n + ix if iy > 0 else None
-                after = iy * n + ix if iy < n else None
-            val = np.zeros(l)
-            for cell, s in ((before, 1.0), (after, -1.0)):
+            for cell, s in zip(grid.fine_edge_cells(e), (1.0, -1.0)):
                 if cell is not None and cc[cell] in nb.members:
-                    val += s * self.pressures[nb.local_cells(cell), :]
-            jumps[k] = val
+                    jumps[k] += s * self.pressures[nb.local_cells(cell), :]
         return jumps
-
-
-def _submat(M, rows, cols):
-    return M.tocsr()[rows][:, cols]
-
-
-def solve_snapshot(grid, med, i, j):
-    """Snapshot field (i, j) expanded to a full fine velocity vector."""
-    snap = EdgeSnapshots(grid, med, i)
-    if not 0 <= j < snap.vel.shape[1]:
-        raise IndexError(f"snapshot index {j} out of range for edge {i}")
-    full = np.zeros(grid.num_fine_edges)
-    full[snap.nb.fine_edges] = snap.vel[:, j]
-    return full
 
 
 def build_snapshot_space(grid, med):
@@ -172,11 +129,10 @@ def build_snapshot_space(grid, med):
 class EdgeBasis:
     """Eigenpairs and offline fields of one coarse edge."""
 
-    def __init__(self, edge, nb, eigvals, coeffs, fields):
+    def __init__(self, edge, nb, eigvals, fields):
         self.edge = edge
         self.nb = nb
         self.eigvals = eigvals       # nondecreasing
-        self.coeffs = coeffs         # s-orthonormal eigenvector columns
         self.fields = fields         # (len(nb.fine_edges), l) offline fields
 
 
@@ -184,9 +140,9 @@ def _neighborhood_grams(grid, med, snap):
     nb = snap.nb
     cells = nb.fine_cells
     edges = nb.fine_edges
-    Jk = _submat(fine_fem.assemble_velocity_mass(grid, 1.0 / med.kappa, cells),
-                 edges, edges)
-    DD = _submat(fine_fem.assemble_divdiv(grid, cells), edges, edges)
+    Jk = fine_fem.submat(fine_fem.assemble_velocity_mass(
+        grid, 1.0 / med.kappa, cells), edges, edges)
+    DD = fine_fem.submat(fine_fem.assemble_divdiv(grid, cells), edges, edges)
     return Jk, DD
 
 
@@ -226,7 +182,7 @@ def _edge_eigh(snap, a_mat, s_mat, allow_shift):
         s_mat = s_mat + 1e-12 * np.trace(s_mat) * np.eye(len(s_mat))
     vals, vecs = scipy.linalg.eigh(a_mat, s_mat)
     vals = np.maximum(vals, 0.0)
-    return EdgeBasis(snap.edge, snap.nb, vals, vecs, snap.vel @ vecs)
+    return EdgeBasis(snap.edge, snap.nb, vals, snap.vel @ vecs)
 
 
 class VelocityOfflineBasis:
@@ -239,9 +195,6 @@ class VelocityOfflineBasis:
         self.edge_bases = [reduce_fn(grid, med, snap)
                            for snap in build_snapshot_space(grid, med)]
 
-    def max_modes(self, i):
-        return self.edge_bases[i].fields.shape[1]
-
 
 def assemble_R_g(basis: VelocityOfflineBasis, bspec, J_v):
     """Prolongation from offline velocity coefficients to fine edges.
@@ -250,41 +203,8 @@ def assemble_R_g(basis: VelocityOfflineBasis, bspec, J_v):
     edges lying on a Gamma2 portion of the boundary.
     """
     grid = basis.grid
-    gamma2_edges = set(np.concatenate([
-        grid.boundary_fine_edges((s,)) for s in bspec.gamma2])
-        .tolist()) if bspec.gamma2 else set()
-    rows, cols, vals = [], [], []
-    free = []
-    col = 0
-    for eb in basis.edge_bases:
-        keep = min(J_v, eb.fields.shape[1]) if J_v is not None \
-            else eb.fields.shape[1]
-        on_gamma2 = bool(gamma2_edges) and all(
-            int(e) in gamma2_edges for e in grid.fine_edges_on(eb.edge))
-        for k in range(keep):
-            rows.append(eb.nb.fine_edges)
-            cols.append(np.full(len(eb.nb.fine_edges), col))
-            vals.append(eb.fields[:, k])
-            free.append(not on_gamma2)
-            col += 1
-    R_g = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.num_fine_edges, col)).tocsr()
-    return R_g, np.array(free)
-
-
-def dump_basis(basis: VelocityOfflineBasis, directory, J_v=None):
-    """Write each edge's offline fields as DOF-vector field files."""
-    import os
-    from .medium import save_field
-    os.makedirs(directory, exist_ok=True)
-    grid = basis.grid
-    for eb in basis.edge_bases:
-        keep = min(J_v, eb.fields.shape[1]) if J_v is not None \
-            else eb.fields.shape[1]
-        for k in range(keep):
-            full = np.zeros(grid.num_fine_edges)
-            full[eb.nb.fine_edges] = eb.fields[:, k]
-            save_field(os.path.join(
-                directory, f"velocity_edge{eb.edge:04d}_mode{k:02d}.txt"),
-                full, rows=len(full), cols=1)
+    gamma2 = set(grid.boundary_fine_edges(bspec.gamma2).tolist())
+    return fine_fem.prolongation(
+        ((eb.nb.fine_edges, eb.fields[:, :J_v],
+          not gamma2.issuperset(grid.fine_edges_on(eb.edge).tolist()))
+         for eb in basis.edge_bases), grid.num_fine_edges)

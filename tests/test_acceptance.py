@@ -122,8 +122,8 @@ def test_criterion_4_spectral_sanity():
         nzero = np.sum(np.abs(vals) <= 1e-9 * vals.max())
         ok &= nzero >= 2
         worst_zero = max(worst_zero, np.abs(vals[:2]).max() / vals.max())
-        dofs = do._node_dofs(nb.fine_nodes)
-        S = do._submat(ff.assemble_vector_mass(
+        dofs = ff.node_dofs(nb.fine_nodes)
+        S = ff.submat(ff.assemble_vector_mass(
             grid, med.lam + 2 * med.mu, nb.fine_cells), dofs, dofs)
         G = vecs.T @ (S @ vecs)
         worst_gram = max(worst_gram, np.abs(G - np.eye(len(G))).max())

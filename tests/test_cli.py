@@ -24,6 +24,15 @@ def test_config_defaults_and_validation():
         cli.ScenarioConfig(T=-1.0)
     with pytest.raises(ValueError):
         cli.ScenarioConfig(spectral_problem=3)
+    # bad input fails at construction, before any heavy work, and the
+    # message names the key
+    for bad, key in (({"N": 1, "n": 8}, "N"), ({"N": 3, "n": 16}, "n"),
+                     ({"J_u": 0}, "J_u"), ({"J_g": 0}, "J_g"),
+                     ({"J_t": 0}, "J_t"), ({"nu": 0.0}, "nu"),
+                     ({"contrast": 0.5}, "contrast"), ({"eta": 0.5}, "eta"),
+                     ({"eta": -1.0}, "eta")):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            cli.ScenarioConfig(**bad)
 
 
 def test_parse_config_file(tmp_path):
@@ -69,9 +78,12 @@ def test_resolve_field_generator_and_file(tmp_path):
     assert np.array_equal(kappa2, kappa) and fid2 == "kappa.txt"
     with pytest.raises(ValueError):
         cli.resolve_field(cfg2, 64)  # wrong cell count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown pattern"):
         cli.resolve_field(cli.ScenarioConfig(field="nonexistent_pattern"),
                           256)
+    for missing in ("nonexistent.txt", str(tmp_path / "missing")):
+        with pytest.raises(ValueError, match="field file not found"):
+            cli.resolve_field(cli.ScenarioConfig(field=missing), 256)
 
 
 def test_export_field_shapes(tmp_path):

@@ -37,9 +37,9 @@ def test_local_eig_zero_modes_and_orthonormality():
     assert np.all(np.diff(vals) >= -1e-9 * vals.max())
     # rigid modes: two translations and one rotation
     assert np.sum(vals == 0.0) >= 2
-    dofs = do._node_dofs(nb.fine_nodes)
-    S = do._submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
-                                           nb.fine_cells), dofs, dofs)
+    dofs = ff.node_dofs(nb.fine_nodes)
+    S = ff.submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
+                                          nb.fine_cells), dofs, dofs)
     G = vecs.T @ (S @ vecs)
     assert np.abs(G - np.eye(len(G))).max() < 1e-8
 
@@ -55,6 +55,18 @@ def test_local_eig_truncation_and_validation():
         do.local_displacement_eig(grid, med, j, J_u=0)
 
 
+def test_sparse_eig_path_is_deterministic():
+    # N=2, n=24: the interior vertex sees the whole domain, 1250 local
+    # DOFs, above the dense limit, so the shift-invert eigsh path runs
+    grid, med = _grid_med(N=2, n=24)
+    j = grid.interior_coarse_vertices()[0]
+    vals1, vecs1, nb = do.local_displacement_eig(grid, med, j, J_u=6)
+    vals2, vecs2, _ = do.local_displacement_eig(grid, med, j, J_u=6)
+    assert 2 * len(nb.fine_nodes) == 1250 > do._DENSE_EIG_LIMIT
+    assert np.array_equal(vals1, vals2)
+    assert np.array_equal(vecs1, vecs2)
+
+
 def test_zero_modes_span_translations():
     # the zero eigenspace must contain both rigid translations
     grid, med = _grid_med(N=2, n=8)
@@ -62,9 +74,9 @@ def test_zero_modes_span_translations():
     vals, vecs, nb = do.local_displacement_eig(grid, med, j)
     nz = np.sum(vals == 0.0)
     assert nz >= 2
-    dofs = do._node_dofs(nb.fine_nodes)
-    S = do._submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
-                                           nb.fine_cells), dofs, dofs)
+    dofs = ff.node_dofs(nb.fine_nodes)
+    S = ff.submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
+                                          nb.fine_cells), dofs, dofs)
     Z = vecs[:, :nz]
     for comp in (0, 1):
         t = np.zeros(len(dofs))
@@ -159,10 +171,3 @@ def test_coarse_pressure_indicators():
     assert set(np.unique(dense)) == {0.0, 1.0}
     assert np.all(dense.sum(axis=1) == 1.0)       # partition of the cells
     assert np.all(dense.sum(axis=0) == grid.m ** 2)
-
-
-def test_dump_basis(tmp_path):
-    grid, med = _grid_med(N=2, n=4)
-    basis = do.DisplacementOfflineBasis(grid, med, max_modes=2)
-    do.dump_basis(basis, tmp_path, J_u=1)
-    assert len(list(tmp_path.iterdir())) == grid.num_coarse_vertices

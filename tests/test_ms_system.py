@@ -1,5 +1,7 @@
 """Coarse projection, multiscale solves, and local conservation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,40 @@ def test_fine_space_is_not_conservative_on_coarse_cells(setup):
     max_res, _ = ms.conservation_report(ops, space.R_p, traj_f, load,
                                         cfg.tau)
     assert max_res > 1e-6
+
+
+def test_conservation_report_rejects_gapped_history(setup, space):
+    # a trajectory without its intermediate states cannot be balanced
+    # step by step; the report must refuse it rather than misreport
+    grid, med, bspec, spaces, ops, p0, load = setup
+    cfg = ti.SchemeConfig(T=1.0, J_t=3)
+    traj = ti.run(cfg, ops, spaces.free_u, spaces.free_g, load, p0,
+                  keep_history=False)
+    with pytest.raises(ValueError, match="keep_history"):
+        ms.conservation_report(ops, space.R_p, traj, load, cfg.tau)
+
+
+def test_dense_fallback_warns(setup):
+    # full retention makes the coarse elasticity block singular, so the
+    # dense least-squares fallback runs, and says so; truncated spaces
+    # and the fine reference factorize cleanly
+    grid, med, bspec, spaces, ops, p0, load = setup
+    cfg = ti.SchemeConfig(T=1.0, J_t=2)
+
+    def fallbacks(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return sum("least-squares fallback" in str(w.message)
+                   for w in caught)
+
+    assert fallbacks(lambda: ti.run(cfg, ops, spaces.free_u, spaces.free_g,
+                                    load, p0)) == 0
+    for J_u, J_g, fires in ((None, None, True), (4, 1, False),
+                            (20, 2, False)):
+        space = ms.build_multiscale_space(grid, med, bspec, J_u, J_g)
+        n = fallbacks(lambda: ms.solve_multiscale(ops, space, cfg, load, p0))
+        assert (n > 0) == fires, (J_u, J_g, n)
 
 
 def test_full_retention_not_worse(setup):

@@ -77,16 +77,6 @@ def test_homogeneous_superposition_uniform_flux():
     assert np.allclose(total[loc_E], 1.0)
 
 
-def test_solve_snapshot_full_vector():
-    grid, med = _grid_med(N=2, n=4)
-    i = grid.interior_coarse_edges()[0]
-    full = vo.solve_snapshot(grid, med, i, 0)
-    assert full.shape == (grid.num_fine_edges,)
-    assert full[grid.fine_edges_on(i)[0]] == 1.0
-    with pytest.raises(IndexError):
-        vo.solve_snapshot(grid, med, i, grid.m)
-
-
 def test_snapshot_count():
     grid, med = _grid_med(N=2, n=8)
     snaps = vo.build_snapshot_space(grid, med)
@@ -135,11 +125,3 @@ def test_assemble_R_g_shapes_and_masks():
     # full retention
     R_full, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), None)
     assert R_full.shape[1] == grid.m * grid.num_coarse_edges
-
-
-def test_dump_basis(tmp_path):
-    grid, med = _grid_med(N=2, n=4)
-    basis = vo.VelocityOfflineBasis(grid, med)
-    vo.dump_basis(basis, tmp_path, J_v=1)
-    files = sorted(tmp_path.iterdir())
-    assert len(files) == grid.num_coarse_edges
