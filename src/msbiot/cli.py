@@ -53,10 +53,14 @@ class ScenarioConfig:
         if self.N < 2 or self.n % self.N != 0:
             raise ValueError(f"need N >= 2 and n divisible by N, got "
                              f"N={self.N}, n={self.n}")
-        for key in ("J_u", "J_g", "J_t"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got "
-                                 f"{getattr(self, key)}")
+        # a coarse edge has n/N snapshots and a corner vertex
+        # 2(n/N+1)^2 local displacement DOFs
+        m = self.n // self.N
+        for key, top in (("J_u", 2 * (m + 1) ** 2), ("J_g", m),
+                         ("J_t", np.inf)):
+            if not 1 <= getattr(self, key) <= top:
+                raise ValueError(f"{key} must lie in [1, {top}] at "
+                                 f"n/N={m}, got {getattr(self, key)}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not self.contrast >= 1:
@@ -161,7 +165,6 @@ class Pipeline:
         self.p0 = initial_pressure(self.grid)
         self._fine_cache = {}
         self._dbasis = None
-        self._dbasis_modes = 0
         self._vbasis = None
 
     def fine_reference(self, J_t=None):
@@ -173,15 +176,16 @@ class Pipeline:
                 self.load, self.p0)
         return self._fine_cache[J_t]
 
-    def displacement_basis(self, max_modes):
-        have_full = self._dbasis is not None and self._dbasis_modes is None
-        stale = self._dbasis is None or (
-            not have_full and (max_modes is None
-                               or max_modes > self._dbasis_modes))
-        if stale:
-            self._dbasis = DisplacementOfflineBasis(self.grid, self.med,
-                                                    max_modes)
-            self._dbasis_modes = max_modes
+    def displacement_basis(self, J_u):
+        """The displacement basis, built once with max(J_u, cfg.J_u)
+        modes per vertex; a smaller J_u takes its leading columns."""
+        if self._dbasis is None:
+            self._dbasis = DisplacementOfflineBasis(
+                self.grid, self.med, max(J_u, self.cfg.J_u))
+        if J_u > self._dbasis.max_modes:
+            raise ValueError(f"J_u={J_u} exceeds the "
+                             f"{self._dbasis.max_modes} modes per vertex "
+                             f"of the displacement basis")
         return self._dbasis
 
     def velocity_basis(self):
@@ -282,6 +286,10 @@ def run_scenario(cfg: ScenarioConfig, check=False):
 def run_sweep(cfg: ScenarioConfig, key, values):
     """Sweep one numeric parameter; offline stages are reused when only
     basis counts or the step count vary."""
+    # every value is checked before the first pipeline is built
+    cfgs = [replace(cfg, **{key: v},
+                    outdir=os.path.join(cfg.outdir, f"{key}_{v}"))
+            for v in values]
     reports = []
     if key in ("J_u", "J_g", "J_t"):
         if key == "J_u":
@@ -292,9 +300,6 @@ def run_sweep(cfg: ScenarioConfig, key, values):
             reports.append((v, report, max_res))
     else:
         workers = int(os.environ.get("MSBIOT_WORKERS", "1"))
-        cfgs = [replace(cfg, **{key: v},
-                        outdir=os.path.join(cfg.outdir, f"{key}_{v}"))
-                for v in values]
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(workers) as ex:
                 results = list(ex.map(run_scenario, cfgs))
@@ -347,10 +352,14 @@ def main(argv=None):
         return 0 if ok else 1
 
     key, _, vals = args.vary.partition("=")
-    if not vals:
-        parser.error("--vary expects key=v1,v2,...")
-    values = [int(v) if key in _INT_KEYS else float(v)
-              for v in vals.split(",")]
+    if key not in _INT_KEYS | _FLOAT_KEYS or not vals:
+        parser.error(f"--vary expects key=v1,v2,... with a numeric key, one "
+                     f"of {', '.join(sorted(_INT_KEYS | _FLOAT_KEYS))}; got "
+                     f"{args.vary!r}")
+    try:
+        values = [_coerce(key, v) for v in vals.split(",")]
+    except ValueError:
+        parser.error(f"--vary: {key} takes numbers, got {vals!r}")
     for v, report, max_res in run_sweep(cfg, key, values):
         print(f"{key}={v}: u_l2={report.e_l2_u:.4g} u_a={report.e_a_u:.4g} "
               f"p_l2={report.e_l2_p:.4g} g_l2={report.e_l2_g:.4g} "

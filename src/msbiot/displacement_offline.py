@@ -47,8 +47,8 @@ def local_displacement_eig(grid, med, j, J_u=None):
         raise ValueError(f"J_u={J_u} outside [1, {dim}] on vertex {j}")
 
     if dim <= _DENSE_EIG_LIMIT or J_u > dim - 2:
-        vals, vecs = scipy.linalg.eigh(A.toarray(), S.toarray())
-        vals, vecs = vals[:J_u], vecs[:, :J_u]
+        vals, vecs = scipy.linalg.eigh(A.toarray(), S.toarray(),
+                                       subset_by_index=[0, J_u - 1])
     else:
         # shift-invert with a small negative shift; A alone is singular
         # (rigid translations)
@@ -69,50 +69,52 @@ def local_displacement_eig(grid, med, j, J_u=None):
     return vals, vecs, nb
 
 
-def build_pou(grid, med, j):
-    """Partition-of-unity pair for coarse vertex j.
+def build_pou(grid, med):
+    """Partition-of-unity pair (xi1, xi2) of every coarse vertex.
 
-    Solves, on each coarse block of the neighborhood, the homogeneous
-    elasticity problem with hat-valued Dirichlet data in one component
-    and zero in the other.  Returns (xi1, xi2, nb): each field has
-    shape (len(nb.fine_nodes), 2).
+    On each coarse block, the homogeneous elasticity problem is solved
+    with the hat of a corner vertex as Dirichlet data in one component
+    and zero in the other.  The block's interior elasticity matrix is
+    factorized once and solved at once for its four corners and both
+    components.  Returns one (xi1, xi2) per vertex j; each field has
+    shape (len(nb.fine_nodes), 2) on nb = grid.vertex_neighborhood(j).
     """
-    nb = grid.vertex_neighborhood(j)
-    xi1 = np.zeros((len(nb.fine_nodes), 2))
-    xi2 = np.zeros((len(nb.fine_nodes), 2))
-
-    for coarse_cell in nb.members:
-        cells = grid.fine_cells_of_coarse_cell(coarse_cell)
+    nbs = [grid.vertex_neighborhood(j)
+           for j in range(grid.num_coarse_vertices)]
+    pou = [(np.zeros((len(nb.fine_nodes), 2)),
+            np.zeros((len(nb.fine_nodes), 2))) for nb in nbs]
+    N = grid.N
+    for c in range(grid.num_coarse_cells):
+        cells = grid.fine_cells_of_coarse_cell(c)
         nodes = np.unique(grid.cell_nodes[cells])
-        xy = grid.fine_node_xy(nodes)
-        N, m = grid.N, grid.m
-        CX, CY = coarse_cell % N, coarse_cell // N
-        ix = nodes % (grid.n + 1)
-        iy = nodes // (grid.n + 1)
-        on_bnd = (ix == CX * m) | (ix == (CX + 1) * m) \
-            | (iy == CY * m) | (iy == (CY + 1) * m)
-
+        # nodes of fewer than four block cells lie on the block boundary
+        on_bnd = np.bincount(np.searchsorted(
+            nodes, grid.cell_nodes[cells].ravel())) < 4
         dofs = fine_fem.node_dofs(nodes)
         A = fine_fem.submat(fine_fem.assemble_elasticity(
             grid, med.lam, med.mu, cells), dofs, dofs)
         bnd_dofs = np.repeat(on_bnd, 2)
         ii = np.flatnonzero(~bnd_dofs)
         bb = np.flatnonzero(bnd_dofs)
-        A_II = A[ii][:, ii].tocsc()
-        A_IB = A[ii][:, bb]
-        lu = spla.splu(A_II)
 
-        hat = hat_value(grid, j, xy)
-        loc = nb.local_nodes(nodes)
-        for target, comp in ((xi1, 0), (xi2, 1)):
-            data = np.zeros(2 * len(nodes))
-            data[bb[comp::2]] = hat[on_bnd]
-            sol = data.copy()
-            if len(ii):
-                sol[ii] = lu.solve(-A_IB @ data[bb])
-            target[loc, 0] = sol[0::2]
-            target[loc, 1] = sol[1::2]
-    return xi1, xi2, nb
+        # columns 2k and 2k+1: corner k's hat in the x and y component
+        sw = (c // N) * (N + 1) + c % N
+        corners = (sw, sw + 1, sw + N + 1, sw + N + 2)
+        xy = grid.fine_node_xy(nodes[on_bnd])
+        sol = np.zeros((len(dofs), 8))
+        for k, j in enumerate(corners):
+            hat = hat_value(grid, j, xy)
+            sol[bb[0::2], 2 * k] = hat
+            sol[bb[1::2], 2 * k + 1] = hat
+        if len(ii):
+            sol[ii] = spla.splu(A[ii][:, ii].tocsc()).solve(
+                -(A[ii][:, bb] @ sol[bb]))
+
+        for k, j in enumerate(corners):
+            loc = nbs[j].local_nodes(nodes)
+            for comp, xi in enumerate(pou[j]):
+                xi[loc] = sol[:, 2 * k + comp].reshape(-1, 2)
+    return pou
 
 
 def multiply_basis(pou, eigvecs):
@@ -130,14 +132,13 @@ def multiply_basis(pou, eigvecs):
 
 
 class VertexBasis:
-    """Eigenpairs, POU, and product fields of one coarse vertex."""
+    """Eigenpairs and product fields of one coarse vertex."""
 
-    def __init__(self, grid, med, j, J_u=None):
+    def __init__(self, grid, med, j, pou, J_u=None):
         self.vertex = j
         self.eigvals, eigvecs, self.nb = local_displacement_eig(
             grid, med, j, J_u)
-        xi1, xi2, _ = build_pou(grid, med, j)
-        self.fields = multiply_basis((xi1, xi2), eigvecs)
+        self.fields = multiply_basis(pou, eigvecs)
 
 
 class DisplacementOfflineBasis:
@@ -146,8 +147,9 @@ class DisplacementOfflineBasis:
 
     def __init__(self, grid, med, max_modes=None):
         self.grid = grid
-        self.vertex_bases = [VertexBasis(grid, med, j, max_modes)
-                             for j in range(grid.num_coarse_vertices)]
+        self.max_modes = max_modes
+        self.vertex_bases = [VertexBasis(grid, med, j, pou, max_modes)
+                             for j, pou in enumerate(build_pou(grid, med))]
 
 
 def assemble_R_u(basis: DisplacementOfflineBasis, J_u=None):

@@ -236,12 +236,13 @@ def assemble_velocity_mass(grid, coeff, cells=None):
                     (grid.num_fine_edges, grid.num_fine_edges))
 
 
-def assemble_div_K(grid):
+def assemble_div_K(grid, cells=None):
     """K[z, q] = int (div z) q, shape (ndof_g, ndof_p); entries +-h."""
-    cells = np.arange(grid.num_fine_cells)
+    if cells is None:
+        cells = np.arange(grid.num_fine_cells)
     s = np.array([-1.0, 1.0, -1.0, 1.0])
     elems = grid.h * np.tile(s, (len(cells), 1))[:, :, None]
-    return _scatter(grid.cell_edges, cells[:, None], elems,
+    return _scatter(grid.cell_edges[cells], cells[:, None], elems,
                     (grid.num_fine_edges, grid.num_fine_cells))
 
 

@@ -96,20 +96,18 @@ class _Solver:
 
 
 class _Stepper:
-    """What both schemes share: free-DOF index sets, the blocks
-    restricted to them (each scheme's _factor builds its solvers), the
-    pressure right-hand side, whose couplings are the adjoints B.T and
-    K.T, and the scatter of a solution to full-length vectors."""
+    """What both schemes share: the operators, free-DOF index sets, the
+    blocks restricted to them (each scheme's _factor builds its
+    solvers), the pressure right-hand side, whose couplings are the
+    adjoints B.T and K.T, and the scatter of a solution to full-length
+    vectors."""
 
     def __init__(self, ops, free_u, free_g, tau):
         self.tau = tau
+        self.ops = ops
         self._iu = iu = np.flatnonzero(free_u)
         self._ig = ig = np.flatnonzero(free_g)
         ip = np.arange(ops.D.shape[0])
-        self.Bt = ops.B.T
-        self.D = ops.D
-        self.ndof_u = ops.A.shape[0]
-        self.ndof_g = ops.J.shape[0]
         self.B_fp = submat(ops.B, iu, ip)
         self._factor(submat(ops.A, iu, iu), submat(ops.J, ig, ig),
                      submat(ops.K, ig, ip))
@@ -117,12 +115,13 @@ class _Stepper:
     def _rhs_p(self, load, du, p):
         """Pressure right-hand side with the displacement change du
         moved to it."""
-        return load - self.Bt @ (du / self.tau) + self.D @ (p / self.tau)
+        return load - self.ops.B.T @ (du / self.tau) \
+            + self.ops.D @ (p / self.tau)
 
     def _state(self, prev, u_free, g_free, p):
-        u = np.zeros(self.ndof_u)
+        u = np.zeros(self.ops.A.shape[0])
         u[self._iu] = u_free
-        g = np.zeros(self.ndof_g)
+        g = np.zeros(self.ops.J.shape[0])
         g[self._ig] = g_free
         return SystemState(u, g, p, prev.t + self.tau)
 
@@ -134,7 +133,7 @@ class FixedStressStepper(_Stepper):
 
     def _factor(self, A_ff, J_ff, K_fp):
         self.flow = _Solver(sp.bmat([[J_ff, -K_fp],
-                                     [K_fp.T, self.D / self.tau]],
+                                     [K_fp.T, self.ops.D / self.tau]],
                                     format="csc"), "flow block")
         self.elas = _Solver(A_ff, "elasticity block")
 
@@ -154,7 +153,7 @@ class FullyCoupledStepper(_Stepper):
         self.mono = _Solver(sp.bmat([
             [A_ff, None, -self.B_fp],
             [None, J_ff, -K_fp],
-            [self.B_fp.T / tau, K_fp.T, self.D / tau]], format="csc"),
+            [self.B_fp.T / tau, K_fp.T, self.ops.D / tau]], format="csc"),
             "monolithic block")
 
     def step(self, state, u_prev, load):
@@ -166,24 +165,25 @@ class FullyCoupledStepper(_Stepper):
         return self._state(state, sol[:nu], sol[nu:nu + ng], sol[nu + ng:])
 
 
-def initialize(ops, free_u, free_g, p0):
+def initialize(stepper, p0):
     """Consistent initial state from the prescribed initial pressure.
 
     u0 solves the elasticity relation against p0; g0 solves the Darcy
     relation against p0; the previous-step displacement is set to u0.
+    The fixed-stress elasticity factorization is reused; the monolithic
+    stepper keeps none, so its initial solver lives for this solve only.
     """
-    iu = np.flatnonzero(free_u)
-    ig = np.flatnonzero(free_g)
+    ops, iu, ig = stepper.ops, stepper._iu, stepper._ig
     p0 = np.asarray(p0, dtype=float)
-    ip = np.arange(len(p0))
     u = np.zeros(ops.A.shape[0])
     if len(iu):
-        u[iu] = _Solver(submat(ops.A, iu, iu), "initial elasticity").solve(
-            submat(ops.B, iu, ip) @ p0)
+        elas = stepper.elas if isinstance(stepper, FixedStressStepper) \
+            else _Solver(submat(ops.A, iu, iu), "initial elasticity")
+        u[iu] = elas.solve(stepper.B_fp @ p0)
     g = np.zeros(ops.J.shape[0])
     if len(ig):
         g[ig] = _Solver(submat(ops.J, ig, ig), "initial flow").solve(
-            submat(ops.K, ig, ip) @ p0)
+            submat(ops.K, ig, np.arange(len(p0))) @ p0)
     state = SystemState(u, g, p0.copy(), 0.0)
     return state, u.copy()
 
@@ -215,7 +215,7 @@ def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
     of each step interval.
     """
     stepper = make_stepper(cfg, ops, free_u, free_g)
-    state, u_prev = initialize(ops, free_u, free_g, p0)
+    state, u_prev = initialize(stepper, p0)
     traj = Trajectory([state.copy()])
     for k in range(cfg.J_t):
         new = stepper.step(state, u_prev,

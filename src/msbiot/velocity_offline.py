@@ -15,7 +15,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import VERTICAL
 from . import fine_fem
 
 
@@ -29,84 +28,25 @@ def edge_kappa(grid, med, fine_edges):
     return out
 
 
-def _block_sign(grid, i, coarse_cell):
-    """+1 if the fixed edge normal m_i points out of the coarse block."""
-    orient, IX, IY = grid.coarse_edge_components(i)
-    N = grid.N
-    CX, CY = coarse_cell % N, coarse_cell // N
-    if orient == VERTICAL:
-        return 1.0 if CX == IX - 1 else -1.0
-    return 1.0 if CY == IY - 1 else -1.0
-
-
 class EdgeSnapshots:
-    """All snapshot solutions attached to one coarse edge.
+    """All snapshot solutions attached to one coarse edge; created with
+    the prescribed fluxes and filled in by build_snapshot_space.
 
     vel: (len(nb.fine_edges), l_i) snapshot velocity coefficients in
     local edge numbering; pressures: (len(nb.fine_cells), l_i) with
     zero mean per coarse block; alphas: per-block source constants.
     """
 
-    def __init__(self, grid, med, i):
+    def __init__(self, grid, i):
         self.edge = i
-        self.nb = grid.edge_neighborhood(i)
+        self.nb = nb = grid.edge_neighborhood(i)
         self.fine_edges_on = grid.fine_edges_on(i)
-        nb = self.nb
         l = len(self.fine_edges_on)
-        h = grid.h
         self.vel = np.zeros((len(nb.fine_edges), l))
+        # prescribed flux data: identity on the coarse edge's fine edges
+        self.vel[nb.local_edges(self.fine_edges_on), np.arange(l)] = 1.0
         self.pressures = np.zeros((len(nb.fine_cells), l))
         self.alphas = np.zeros((len(nb.members), l))
-        self.block_signs = np.array(
-            [_block_sign(grid, i, c) for c in nb.members])
-
-        loc_E = nb.local_edges(self.fine_edges_on)
-        # prescribed flux data: identity on the coarse edge's fine edges
-        self.vel[loc_E, np.arange(l)] = 1.0
-
-        for bi, coarse_cell in enumerate(nb.members):
-            cells = grid.fine_cells_of_coarse_cell(coarse_cell)
-            edges = np.unique(grid.cell_edges[cells])
-            # edges shared by two block cells are interior to the block
-            counts = np.bincount(
-                np.searchsorted(edges, grid.cell_edges[cells].ravel()),
-                minlength=len(edges))
-            interior = counts == 2
-
-            Jb = fine_fem.submat(fine_fem.assemble_velocity_mass(
-                grid, med.nu / med.kappa, cells), edges, edges)
-            Kb = fine_fem.submat(fine_fem.assemble_div_K(grid), edges, cells)
-
-            ii = np.flatnonzero(interior)
-            bb = np.flatnonzero(~interior)
-            J_II = Jb[ii][:, ii]
-            J_IB = Jb[ii][:, bb]
-            K_I = Kb[ii]
-            K_B = Kb[bb]
-            ncell = len(cells)
-            w = np.full(ncell, h ** 2)
-            sys = sp.bmat([
-                [J_II, -K_I, None],
-                [K_I.T, None, w[:, None]],
-                [None, w[None, :], None]], format="csc")
-            lu = spla.splu(sys)
-
-            sign = self.block_signs[bi]
-            area = (grid.m * h) ** 2
-            alpha = sign * h / area          # |alpha| = h * N^2
-            self.alphas[bi, :] = alpha
-
-            loc_cells = nb.local_cells(cells)
-            loc_block_edges = nb.local_edges(edges)
-            for j in range(l):
-                g_B = self.vel[loc_block_edges[bb], j]
-                rhs = np.concatenate([
-                    -J_IB @ g_B,
-                    alpha * h ** 2 - K_B.T @ g_B,
-                    [0.0]])
-                sol = lu.solve(rhs)
-                self.vel[loc_block_edges[ii], j] = sol[:len(ii)]
-                self.pressures[loc_cells, j] = sol[len(ii):len(ii) + ncell]
 
     def pressure_jumps(self, grid):
         """Jump of each snapshot pressure across every fine edge of the
@@ -122,8 +62,60 @@ class EdgeSnapshots:
 
 
 def build_snapshot_space(grid, med):
-    """Snapshot sets for every coarse edge."""
-    return [EdgeSnapshots(grid, med, i) for i in range(grid.num_coarse_edges)]
+    """Snapshot sets for every coarse edge.
+
+    A snapshot's problem splits into one pure-Neumann problem per
+    adjacent coarse block, so the loop runs over blocks: each block's
+    saddle system (the mean-zero pressure held by a multiplier) is
+    factorized once and solved at once for the unit fluxes through
+    every fine edge of its four sides.
+    """
+    snaps = [EdgeSnapshots(grid, i) for i in range(grid.num_coarse_edges)]
+    N, m, h = grid.N, grid.m, grid.h
+    alpha = h / (m * h) ** 2             # |alpha| = h * N^2
+    for c in range(grid.num_coarse_cells):
+        cells = grid.fine_cells_of_coarse_cell(c)
+        edges = np.unique(grid.cell_edges[cells])
+        # edges shared by two block cells are interior to the block
+        counts = np.bincount(
+            np.searchsorted(edges, grid.cell_edges[cells].ravel()))
+        ii = np.flatnonzero(counts == 2)
+        bb = np.flatnonzero(counts != 2)
+        Jb = fine_fem.submat(fine_fem.assemble_velocity_mass(
+            grid, med.nu / med.kappa, cells), edges, edges)
+        Kb = fine_fem.submat(fine_fem.assemble_div_K(grid, cells),
+                             edges, cells)
+        w = np.full((len(cells), 1), h ** 2)
+        lu = spla.splu(sp.bmat([
+            [Jb[ii][:, ii], -Kb[ii], None],
+            [Kb[ii].T, None, w],
+            [None, w.T, None]], format="csc"))
+
+        # the block's sides (left, right, bottom, top) and the sign of
+        # their fixed normal against the block's outward normal
+        west = (c // N) * (N + 1) + c % N
+        south = grid.num_coarse_vedges + c
+        sides = ((west, -1.0), (west + 1, 1.0),
+                 (south, -1.0), (south + N, 1.0))
+        # one column per fine edge of each side: unit flux through it,
+        # no flux through the rest of the block boundary
+        g_B = np.zeros((len(bb), 4 * m))
+        for k, (i, _) in enumerate(sides):
+            g_B[np.searchsorted(edges[bb], grid.fine_edges_on(i)),
+                k * m + np.arange(m)] = 1.0
+        alphas = alpha * np.repeat([sign for _, sign in sides], m)
+        sol = lu.solve(np.vstack([
+            -(Jb[ii][:, bb] @ g_B),
+            alphas * h ** 2 - Kb[bb].T @ g_B,
+            np.zeros((1, 4 * m))]))
+
+        for k, (i, sign) in enumerate(sides):
+            snap = snaps[i]
+            cols = sol[:, k * m:(k + 1) * m]
+            snap.vel[snap.nb.local_edges(edges[ii])] = cols[:len(ii)]
+            snap.pressures[snap.nb.local_cells(cells)] = cols[len(ii):-1]
+            snap.alphas[list(snap.nb.members).index(c)] = sign * alpha
+    return snaps
 
 
 class EdgeBasis:
@@ -136,34 +128,29 @@ class EdgeBasis:
         self.fields = fields         # (len(nb.fine_edges), l) offline fields
 
 
-def _neighborhood_grams(grid, med, snap):
-    nb = snap.nb
-    cells = nb.fine_cells
-    edges = nb.fine_edges
-    Jk = fine_fem.submat(fine_fem.assemble_velocity_mass(
-        grid, 1.0 / med.kappa, cells), edges, edges)
-    DD = fine_fem.submat(fine_fem.assemble_divdiv(grid, cells), edges, edges)
-    return Jk, DD
-
-
 def spectral_reduce_1(grid, med, snap: EdgeSnapshots):
     """Edge-flux vs neighborhood energy eigenproblem (default variant)."""
     S = snap.vel
-    loc_E = snap.nb.local_edges(snap.fine_edges_on)
+    nb = snap.nb
+    loc_E = nb.local_edges(snap.fine_edges_on)
     kap_e = edge_kappa(grid, med, snap.fine_edges_on)
     # snapshot normal traces on the coarse edge are the identity, so the
     # edge form is diagonal in the snapshot coordinates
     flux = S[loc_E, :]
     a_mat = flux.T @ ((grid.h / kap_e)[:, None] * flux)
-    Jk, DD = _neighborhood_grams(grid, med, snap)
-    s_mat = S.T @ ((Jk + DD) @ S)
+    energy = fine_fem.assemble_velocity_mass(grid, 1.0 / med.kappa,
+                                             nb.fine_cells) \
+        + fine_fem.assemble_divdiv(grid, nb.fine_cells)
+    s_mat = S.T @ (fine_fem.submat(energy, nb.fine_edges, nb.fine_edges) @ S)
     return _edge_eigh(snap, a_mat, s_mat, allow_shift=False)
 
 
 def spectral_reduce_2(grid, med, snap: EdgeSnapshots):
     """Neighborhood velocity form against the pressure-jump form."""
     S = snap.vel
-    Jk, _ = _neighborhood_grams(grid, med, snap)
+    nb = snap.nb
+    Jk = fine_fem.submat(fine_fem.assemble_velocity_mass(
+        grid, 1.0 / med.kappa, nb.fine_cells), nb.fine_edges, nb.fine_edges)
     a_mat = S.T @ (Jk @ S)
     jumps = snap.pressure_jumps(grid)
     s_mat = grid.h * jumps.T @ jumps

@@ -49,9 +49,9 @@ def test_criterion_1_oracle_equivalence():
     p0 = xy[:, 0] * xy[:, 1] * (1 - xy[:, 0]) * (1 - xy[:, 1])
     load = ff.assemble_load(spaces, np.ones(n * n))
     tau = 0.1
-    state0, u_prev = ti.initialize(ops, spaces.free_u, spaces.free_g, p0)
     worst = 0.0
     fs = ti.FixedStressStepper(ops, spaces.free_u, spaces.free_g, tau)
+    state0, u_prev = ti.initialize(fs, p0)
     s = fs.step(state0, u_prev, load)
     u_o, g_o, p_o = oracles.dense_fixed_stress_step(
         dense, spaces.free_u, spaces.free_g, tau,
@@ -76,8 +76,8 @@ def test_criterion_2_partition_of_unity():
         med = build_medium(generate_high_contrast(n, "blobs", 1e4))
         s11 = np.zeros(grid.num_fine_nodes)
         s12 = np.zeros(grid.num_fine_nodes)
-        for j in range(grid.num_coarse_vertices):
-            xi1, _, nb = do.build_pou(grid, med, j)
+        for j, (xi1, _) in enumerate(do.build_pou(grid, med)):
+            nb = grid.vertex_neighborhood(j)
             s11[nb.fine_nodes] += xi1[:, 0]
             s12[nb.fine_nodes] += xi1[:, 1]
         worst = max(worst, np.abs(s11 - 1.0).max(), np.abs(s12).max())
@@ -109,9 +109,11 @@ def test_criterion_4_spectral_sanity():
             vals = eb.eigvals
             ok &= np.all(np.isreal(vals)) and np.all(vals >= 0.0)
             ok &= np.all(np.diff(vals) >= -1e-12 * max(vals.max(), 1.0))
-            snap = vo.EdgeSnapshots(grid, med, eb.edge)
             if problem == 1:
-                Jk, DD = vo._neighborhood_grams(grid, med, snap)
+                cells, edges = eb.nb.fine_cells, eb.nb.fine_edges
+                Jk = ff.submat(ff.assemble_velocity_mass(
+                    grid, 1.0 / med.kappa, cells), edges, edges)
+                DD = ff.submat(ff.assemble_divdiv(grid, cells), edges, edges)
                 G = eb.fields.T @ ((Jk + DD) @ eb.fields)
                 worst_gram = max(worst_gram,
                                  np.abs(G - np.eye(len(G))).max())
@@ -140,8 +142,7 @@ def test_criterion_5_snapshot_exactness():
     h2 = grid.h ** 2
     bitwise = True
     worst_div = 0.0
-    for i in range(grid.num_coarse_edges):
-        snap = vo.EdgeSnapshots(grid, med, i)
+    for snap in vo.build_snapshot_space(grid, med):
         loc_E = snap.nb.local_edges(snap.fine_edges_on)
         flux = snap.vel[loc_E, :]
         bitwise &= np.array_equal(flux, np.eye(flux.shape[0]))

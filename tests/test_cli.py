@@ -176,3 +176,50 @@ def test_main_config_file(tmp_path, capsys):
                        f"contrast = 100\noutdir = {tmp_path / 'o3'}\n")
     assert cli.main(["run", "--config", str(cfgfile)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"N": 4, "n": 16, "J_g": 5}, "J_g"),     # 4 snapshots per coarse edge
+    ({"N": 2, "n": 4, "J_u": 19}, "J_u"),     # 18 DOFs at a corner vertex
+])
+def test_config_rejects_modes_beyond_local_space(bad, key):
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        cli.ScenarioConfig(**bad)
+    # the bound itself is accepted
+    cli.ScenarioConfig(**{**bad, key: bad[key] - 1})
+
+
+@pytest.mark.parametrize("vary", ["scheme=fixed_stress,fully_coupled",
+                                  "bogus=1,2", "J_u=4,many"])
+def test_sweep_rejects_bad_vary_key(tmp_path, capsys, vary):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--N", "4", "--n", "16",
+                  "--outdir", str(tmp_path), "--vary", vary])
+    assert exc.value.code == 2
+    assert vary.split("=")[0] in capsys.readouterr().err
+
+
+def test_sweep_checks_every_value_before_the_first_pipeline(tmp_path,
+                                                            monkeypatch):
+    def no_pipeline(cfg):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(cli, "Pipeline", no_pipeline)
+    cfg = cli.ScenarioConfig(outdir=str(tmp_path), **SMALL)
+    with pytest.raises(ValueError, match=r"\bJ_g\b"):
+        cli.run_sweep(cfg, "J_g", [1, 9])
+
+
+def test_pipeline_builds_the_displacement_basis_once():
+    p = cli.Pipeline(cli.ScenarioConfig(**{**SMALL, "J_u": 20}))
+    basis = p.displacement_basis(4)
+    assert all(p.displacement_basis(J_u) is basis for J_u in (12, 20))
+    with pytest.raises(ValueError, match=r"\bJ_u=21\b"):
+        p.displacement_basis(21)
+    # a truncated basis spans what a build with fewer modes spans
+    report, _, traj = p.solve_point(J_u=4)
+    report4, _, traj4 = cli.Pipeline(cli.ScenarioConfig(**SMALL)).solve_point()
+    assert np.allclose(report.values(), report4.values(), rtol=1e-10, atol=0)
+    for x, y in ((traj.final.u, traj4.final.u), (traj.final.g, traj4.final.g),
+                 (traj.final.p, traj4.final.p)):
+        assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)

@@ -89,7 +89,8 @@ def test_zero_modes_span_translations():
 def test_pou_boundary_values_and_components():
     grid, med = _grid_med()
     j = grid.interior_coarse_vertices()[0]
-    xi1, xi2, nb = do.build_pou(grid, med, j)
+    xi1, xi2 = do.build_pou(grid, med)[j]
+    nb = grid.vertex_neighborhood(j)
     xy = grid.fine_node_xy(nb.fine_nodes)
     hat = do.hat_value(grid, j, xy)
     # on block interfaces the harmonic extension equals the Dirichlet
@@ -117,19 +118,29 @@ def test_pou_sums_to_one():
     grid, med = _grid_med(N=4, n=16)
     sum1 = np.zeros(grid.num_fine_nodes)
     sum2 = np.zeros(grid.num_fine_nodes)
-    for j in range(grid.num_coarse_vertices):
-        xi1, xi2, nb = do.build_pou(grid, med, j)
+    for j, (xi1, xi2) in enumerate(do.build_pou(grid, med)):
+        nb = grid.vertex_neighborhood(j)
         sum1[nb.fine_nodes] += xi1[:, 0]
         sum2[nb.fine_nodes] += xi2[:, 1]
     assert np.abs(sum1 - 1.0).max() < 1e-9
     assert np.abs(sum2 - 1.0).max() < 1e-9
 
 
+def test_pou_factorizes_each_block_once(monkeypatch):
+    grid, med = _grid_med()
+    calls = []
+    splu = do.spla.splu
+    monkeypatch.setattr(do.spla, "splu",
+                        lambda M: calls.append(M.shape) or splu(M))
+    do.build_pou(grid, med)
+    assert len(calls) == grid.num_coarse_cells
+
+
 def test_multiply_basis_matches_nodewise_oracle():
     grid, med = _grid_med(N=2, n=6)
     j = grid.interior_coarse_vertices()[0]
     vals, vecs, nb = do.local_displacement_eig(grid, med, j, J_u=4)
-    xi1, xi2, _ = do.build_pou(grid, med, j)
+    xi1, xi2 = do.build_pou(grid, med)[j]
     out = do.multiply_basis((xi1, xi2), vecs)
     # independent elementwise recomputation
     for k in range(4):
@@ -142,8 +153,8 @@ def test_constant_pou_identity():
     # multiplying the constant-one eigen-like field reproduces the POU
     grid, med = _grid_med(N=2, n=4)
     j = grid.interior_coarse_vertices()[0]
-    xi1, xi2, nb = do.build_pou(grid, med, j)
-    ones = np.ones((2 * len(nb.fine_nodes), 1))
+    xi1, xi2 = do.build_pou(grid, med)[j]
+    ones = np.ones((2 * len(grid.vertex_neighborhood(j).fine_nodes), 1))
     out = do.multiply_basis((xi1, xi2), ones)
     assert np.array_equal(out[0::2, 0], xi1[:, 0])
     assert np.array_equal(out[1::2, 0], xi2[:, 1])

@@ -1,0 +1,84 @@
+"""Invariants of the offline bases over random small cases.
+
+Each case draws the coarse grid N, the fine cells per coarse block m,
+the contrast and the seed of a binary high-contrast field.  The draws
+are derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from msbiot.grid import build_hierarchy
+from msbiot.medium import build_medium
+from msbiot import fine_fem as ff
+from msbiot import velocity_offline as vo
+from msbiot import displacement_offline as do
+
+cases = given(N=st.integers(2, 4), m=st.integers(1, 4),
+              contrast=st.sampled_from([1.0, 1e2, 1e4]),
+              seed=st.integers(0, 2 ** 16))
+small = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+def _grid_med(N, m, contrast, seed):
+    n = N * m
+    grid = build_hierarchy(N, n)
+    rng = np.random.default_rng(seed)
+    kappa = np.where(rng.uniform(size=n * n) < 0.3, contrast, 1.0)
+    return grid, build_medium(kappa)
+
+
+@small
+@cases
+def test_pou_sums_to_one(N, m, contrast, seed):
+    grid, med = _grid_med(N, m, contrast, seed)
+    total = np.zeros((grid.num_fine_nodes, 2, 2))
+    for j, (xi1, xi2) in enumerate(do.build_pou(grid, med)):
+        nodes = grid.vertex_neighborhood(j).fine_nodes
+        total[nodes, 0] += xi1
+        total[nodes, 1] += xi2
+    # xi1 sums to (1, 0) and xi2 to (0, 1) at every fine node
+    assert np.abs(total - np.eye(2)).max() < 1e-9
+
+
+@small
+@cases
+def test_snapshot_invariants(N, m, contrast, seed):
+    grid, med = _grid_med(N, m, contrast, seed)
+    K = ff.assemble_div_K(grid)
+    for snap in vo.build_snapshot_space(grid, med):
+        nb = snap.nb
+        # prescribed fluxes: bitwise the identity
+        flux = snap.vel[nb.local_edges(snap.fine_edges_on)]
+        assert np.array_equal(flux, np.eye(m))
+        full = np.zeros((grid.num_fine_edges, m))
+        full[nb.fine_edges] = snap.vel
+        div = (K.T @ full) / grid.h ** 2
+        for bi, c in enumerate(nb.members):
+            cells = grid.fine_cells_of_coarse_cell(c)
+            # divergence equals the block's alpha, |alpha| = h N^2
+            assert np.allclose(np.abs(snap.alphas[bi]), grid.h * N ** 2)
+            assert np.abs(div[cells] - snap.alphas[bi]).max() < 1e-10
+            # pressures have zero mean per block
+            assert np.abs(snap.pressures[nb.local_cells(cells)].sum(
+                axis=0)).max() < 1e-9
+
+
+@small
+@given(N=st.integers(2, 3), m=st.integers(2, 4),
+       contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
+       k=st.integers(3, 8), vertex=st.integers(0, 15))
+def test_local_eig_leading_modes_are_nested(N, m, contrast, seed, k, vertex):
+    grid, med = _grid_med(N, m, contrast, seed)
+    j = vertex % grid.num_coarse_vertices
+    vals, vecs, nb = do.local_displacement_eig(grid, med, j, J_u=k + 4)
+    # the leading k modes are determined only when a gap follows them
+    assume(vals[k] - vals[k - 1] > 1e-6 * vals[k])
+    _, vecs_k, _ = do.local_displacement_eig(grid, med, j, J_u=k)
+    dofs = ff.node_dofs(nb.fine_nodes)
+    S = ff.submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
+                                          nb.fine_cells), dofs, dofs)
+    lead = vecs[:, :k]
+    # S-orthogonal projection onto the leading k modes of the larger build
+    proj = lead @ (lead.T @ (S @ vecs_k))
+    assert np.abs(proj - vecs_k).max() < 1e-8 * np.abs(vecs_k).max()

@@ -35,13 +35,19 @@ def test_scheme_config_validation():
 
 def test_initialize_matches_oracle():
     _, _, spaces, ops, dense, p0, _ = _setup()
-    state, u_prev = ti.initialize(ops, spaces.free_u, spaces.free_g, p0)
     u_o, g_o, p_o = oracles.dense_initialize(
         dense, spaces.free_u, spaces.free_g, p0)
-    assert np.allclose(state.u, u_o, rtol=0, atol=1e-12 * np.abs(u_o).max())
-    assert np.allclose(state.g, g_o, rtol=0, atol=1e-12 * np.abs(g_o).max())
-    assert np.array_equal(state.p, p0)
-    assert np.array_equal(u_prev, state.u)
+    # fixed stress reuses its elasticity block; fully coupled has none
+    for scheme in ("fixed_stress", "fully_coupled"):
+        stepper = ti.make_stepper(ti.SchemeConfig(scheme), ops,
+                                  spaces.free_u, spaces.free_g)
+        state, u_prev = ti.initialize(stepper, p0)
+        assert np.allclose(state.u, u_o, rtol=0,
+                           atol=1e-12 * np.abs(u_o).max())
+        assert np.allclose(state.g, g_o, rtol=0,
+                           atol=1e-12 * np.abs(g_o).max())
+        assert np.array_equal(state.p, p0)
+        assert np.array_equal(u_prev, state.u)
 
 
 def test_one_step_matches_dense_oracle():
@@ -49,9 +55,8 @@ def test_one_step_matches_dense_oracle():
     elimination to relative 1e-10."""
     _, _, spaces, ops, dense, p0, load = _setup()
     tau = 0.1
-    state0, u_prev = ti.initialize(ops, spaces.free_u, spaces.free_g, p0)
-
     fs = ti.FixedStressStepper(ops, spaces.free_u, spaces.free_g, tau)
+    state0, u_prev = ti.initialize(fs, p0)
     s1 = fs.step(state0, u_prev, load)
     u_o, g_o, p_o = oracles.dense_fixed_stress_step(
         dense, spaces.free_u, spaces.free_g, tau,

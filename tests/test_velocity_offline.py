@@ -29,8 +29,9 @@ def test_edge_kappa_harmonic_mean():
 
 def test_snapshot_prescribed_flux_bitwise():
     grid, med = _grid_med()
+    snaps = vo.build_snapshot_space(grid, med)
     for i in (grid.interior_coarse_edges()[0], 0):
-        snap = vo.EdgeSnapshots(grid, med, i)
+        snap = snaps[i]
         loc_E = snap.nb.local_edges(snap.fine_edges_on)
         flux = snap.vel[loc_E, :]
         assert np.array_equal(flux, np.eye(len(snap.fine_edges_on)))
@@ -40,8 +41,9 @@ def test_snapshot_divergence_matches_block_alpha():
     grid, med = _grid_med()
     K = ff.assemble_div_K(grid)
     h2 = grid.h ** 2
+    snaps = vo.build_snapshot_space(grid, med)
     for i in (grid.interior_coarse_edges()[0], 3):
-        snap = vo.EdgeSnapshots(grid, med, i)
+        snap = snaps[i]
         assert np.allclose(np.abs(snap.alphas), grid.h * grid.N ** 2)
         for j in range(snap.vel.shape[1]):
             full = np.zeros(grid.num_fine_edges)
@@ -59,7 +61,7 @@ def test_snapshot_divergence_matches_block_alpha():
 
 def test_snapshot_pressures_zero_mean_per_block():
     grid, med = _grid_med()
-    snap = vo.EdgeSnapshots(grid, med, grid.interior_coarse_edges()[0])
+    snap = vo.build_snapshot_space(grid, med)[grid.interior_coarse_edges()[0]]
     for c in snap.nb.members:
         loc = snap.nb.local_cells(grid.fine_cells_of_coarse_cell(c))
         assert np.abs(snap.pressures[loc].sum(axis=0)).max() < 1e-9
@@ -71,7 +73,7 @@ def test_homogeneous_superposition_uniform_flux():
     grid = build_hierarchy(2, 4)
     med = build_medium(np.ones(16))
     i = grid.interior_coarse_edges()[0]
-    snap = vo.EdgeSnapshots(grid, med, i)
+    snap = vo.build_snapshot_space(grid, med)[i]
     total = snap.vel.sum(axis=1)
     loc_E = snap.nb.local_edges(grid.fine_edges_on(i))
     assert np.allclose(total[loc_E], 1.0)
@@ -88,6 +90,16 @@ def test_snapshot_count():
     assert all(s.vel.shape[1] == 1 for s in vo.build_snapshot_space(g2, m2))
 
 
+def test_snapshot_space_factorizes_each_block_once(monkeypatch):
+    grid, med = _grid_med()
+    calls = []
+    splu = vo.spla.splu
+    monkeypatch.setattr(vo.spla, "splu",
+                        lambda M: calls.append(M.shape) or splu(M))
+    vo.build_snapshot_space(grid, med)
+    assert len(calls) == grid.num_coarse_cells
+
+
 @pytest.mark.parametrize("problem", [1, 2])
 def test_spectral_reduction_sanity(problem):
     grid, med = _grid_med()
@@ -102,9 +114,12 @@ def test_spectral_reduction_sanity(problem):
 
 def test_spectral_1_eigvecs_s_orthonormal():
     grid, med = _grid_med()
-    snap = vo.EdgeSnapshots(grid, med, grid.interior_coarse_edges()[0])
+    snap = vo.build_snapshot_space(grid, med)[grid.interior_coarse_edges()[0]]
     eb = vo.spectral_reduce_1(grid, med, snap)
-    Jk, DD = vo._neighborhood_grams(grid, med, snap)
+    cells, edges = snap.nb.fine_cells, snap.nb.fine_edges
+    Jk = ff.submat(ff.assemble_velocity_mass(grid, 1.0 / med.kappa, cells),
+                   edges, edges)
+    DD = ff.submat(ff.assemble_divdiv(grid, cells), edges, edges)
     G = eb.fields.T @ ((Jk + DD) @ eb.fields)
     assert np.abs(G - np.eye(len(G))).max() < 1e-8
 
