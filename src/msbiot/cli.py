@@ -6,7 +6,6 @@ a conservation summary, and a frozen copy of the resolved config.
 """
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass, asdict, replace
@@ -74,7 +73,8 @@ _FLOAT_KEYS = {"T", "contrast", "eta", "alpha", "nu"}
 
 
 def parse_config_file(path):
-    """Flat key = value config text; '#' starts a comment."""
+    """Flat key = value config text; '#' starts a comment.  Returns
+    {key: (value, "path:line")}."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -84,7 +84,7 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
+            out[key] = val, f"{path}:{lineno}"
     return out
 
 
@@ -97,13 +97,20 @@ def _coerce(key, val):
 
 
 def config_from_sources(file_path=None, overrides=None):
+    """A config file's keys, overridden by the non-None typed overrides;
+    a bad file entry raises ValueError naming its path:line and key."""
     kwargs = {}
     if file_path:
-        for k, v in parse_config_file(file_path).items():
-            kwargs[k] = _coerce(k, v)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            kwargs[k] = _coerce(k, v) if isinstance(v, str) else v
+        for k, (v, where) in parse_config_file(file_path).items():
+            if k not in ScenarioConfig.__dataclass_fields__:
+                raise ValueError(f"{where}: unknown key {k!r}")
+            try:
+                kwargs[k] = _coerce(k, v)
+            except ValueError:
+                raise ValueError(f"{where}: {k} takes a number, "
+                                 f"got {v!r}") from None
+    kwargs.update((k, v) for k, v in (overrides or {}).items()
+                  if v is not None)
     return ScenarioConfig(**kwargs)
 
 
@@ -299,13 +306,9 @@ def run_sweep(cfg: ScenarioConfig, key, values):
             report, max_res, _ = pipeline.solve_point(**{key: v})
             reports.append((v, report, max_res))
     else:
-        workers = int(os.environ.get("MSBIOT_WORKERS", "1"))
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(workers) as ex:
-                results = list(ex.map(run_scenario, cfgs))
-        else:
-            results = [run_scenario(c) for c in cfgs]
-        reports = [(v, r, m) for v, (r, m, _) in zip(values, results)]
+        for v, c in zip(values, cfgs):
+            report, max_res, _ = run_scenario(c)
+            reports.append((v, report, max_res))
     os.makedirs(cfg.outdir, exist_ok=True)
     diagnostics.write_csv(os.path.join(cfg.outdir, "sweep.csv"),
                           [r for _, r, _ in reports])
@@ -340,9 +343,13 @@ def main(argv=None):
                          help="key=v1,v2,... e.g. J_u=4,8,12")
     args = parser.parse_args(argv)
 
-    keys = [f.name for f in ScenarioConfig.__dataclass_fields__.values()]
-    overrides = {k: getattr(args, k) for k in keys if hasattr(args, k)}
-    cfg = config_from_sources(args.config, overrides)
+    overrides = {k: getattr(args, k)
+                 for k in ScenarioConfig.__dataclass_fields__
+                 if hasattr(args, k)}
+    try:
+        cfg = config_from_sources(args.config, overrides)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
     if args.command == "run":
         report, max_res, ok = run_scenario(cfg, check=args.check)

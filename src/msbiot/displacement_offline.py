@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fine_fem
+from .grid import Neighborhood
 
 _DENSE_EIG_LIMIT = 900  # local DOF count below which dense eigh is used
 
@@ -35,12 +36,10 @@ def local_displacement_eig(grid, med, j, J_u=None):
     local DOF vectors (interleaved over nb.fine_nodes).
     """
     nb = grid.vertex_neighborhood(j)
-    dofs = fine_fem.node_dofs(nb.fine_nodes)
-    A = fine_fem.submat(fine_fem.assemble_elasticity(
-        grid, med.lam, med.mu, nb.fine_cells), dofs, dofs)
-    S = fine_fem.submat(fine_fem.assemble_vector_mass(
-        grid, med.lam + 2.0 * med.mu, nb.fine_cells), dofs, dofs)
-    dim = len(dofs)
+    lam, mu = med.lam[nb.fine_cells], med.mu[nb.fine_cells]
+    A = fine_fem.assemble_elasticity(nb, lam, mu)
+    S = fine_fem.assemble_vector_mass(nb, lam + 2.0 * mu)
+    dim = 2 * nb.num_fine_nodes
     if J_u is None:
         J_u = dim
     if not 1 <= J_u <= dim:
@@ -85,14 +84,12 @@ def build_pou(grid, med):
             np.zeros((len(nb.fine_nodes), 2))) for nb in nbs]
     N = grid.N
     for c in range(grid.num_coarse_cells):
-        cells = grid.fine_cells_of_coarse_cell(c)
-        nodes = np.unique(grid.cell_nodes[cells])
+        block = Neighborhood([c], grid)
+        nodes = block.fine_nodes
         # nodes of fewer than four block cells lie on the block boundary
-        on_bnd = np.bincount(np.searchsorted(
-            nodes, grid.cell_nodes[cells].ravel())) < 4
-        dofs = fine_fem.node_dofs(nodes)
-        A = fine_fem.submat(fine_fem.assemble_elasticity(
-            grid, med.lam, med.mu, cells), dofs, dofs)
+        on_bnd = np.bincount(block.cell_nodes.ravel()) < 4
+        A = fine_fem.assemble_elasticity(block, med.lam[block.fine_cells],
+                                         med.mu[block.fine_cells])
         bnd_dofs = np.repeat(on_bnd, 2)
         ii = np.flatnonzero(~bnd_dofs)
         bb = np.flatnonzero(bnd_dofs)
@@ -101,7 +98,7 @@ def build_pou(grid, med):
         sw = (c // N) * (N + 1) + c % N
         corners = (sw, sw + 1, sw + N + 1, sw + N + 2)
         xy = grid.fine_node_xy(nodes[on_bnd])
-        sol = np.zeros((len(dofs), 8))
+        sol = np.zeros((2 * len(nodes), 8))
         for k, j in enumerate(corners):
             hat = hat_value(grid, j, xy)
             sol[bb[0::2], 2 * k] = hat

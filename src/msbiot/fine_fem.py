@@ -7,6 +7,12 @@ the global +x/+y normal convention.  Pressure: one constant per cell.
 
 All integrands are polynomial with cellwise-constant coefficients, so
 2x2 Gauss quadrature per cell is exact.
+
+An assembler takes a mesh and one coefficient per cell of that mesh.
+The mesh is either the fine grid (``GridHierarchy``) or a patch of it
+(``grid.Neighborhood``); an assembler reads only its ``cell_nodes``,
+``cell_edges``, ``h`` and ``num_fine_*`` counts, so on a patch the
+matrix comes out directly in the patch's local numbering.
 """
 
 import numpy as np
@@ -126,6 +132,7 @@ def _q1_templates():
 
 
 _K_MU, _K_DIV, _M_SC = _q1_templates()
+_M_VEC = np.kron(_M_SC, np.eye(2))  # vector Q1 mass, interleaved DOFs
 
 # int over the unit cell of d(Na)/dx and d(Na)/dy
 _DIVX = np.array([-0.5, 0.5, -0.5, 0.5])
@@ -135,6 +142,9 @@ _DIVY = np.array([-0.5, -0.5, 0.5, 0.5])
 _RT_MASS = np.zeros((4, 4))
 _RT_MASS[:2, :2] = [[1 / 3, 1 / 6], [1 / 6, 1 / 3]]
 _RT_MASS[2:, 2:] = [[1 / 3, 1 / 6], [1 / 6, 1 / 3]]
+
+# h times the divergence of each RT0 shape on a cell, edge order (L,R,B,T)
+_RT_DIV = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 def node_dofs(nodes):
@@ -185,82 +195,61 @@ def prolongation(blocks, nrows):
 
 # ---- assembly routines -------------------------------------------------
 
-def assemble_elasticity(grid, lam, mu, cells=None):
+def assemble_elasticity(mesh, lam, mu):
     """Stiffness of 2 mu eps(u):eps(v) + lam (div u)(div v)."""
-    if cells is None:
-        cells = np.arange(grid.num_fine_cells)
-    lam = np.asarray(lam)[cells]
-    mu = np.asarray(mu)[cells]
+    lam, mu = np.asarray(lam), np.asarray(mu)
     elems = (2.0 * mu)[:, None, None] * _K_MU + lam[:, None, None] * _K_DIV
-    dofs = node_dofs(grid.cell_nodes[cells])
-    ndof = 2 * grid.num_fine_nodes
+    dofs = node_dofs(mesh.cell_nodes)
+    ndof = 2 * mesh.num_fine_nodes
     return _scatter(dofs, dofs, elems, (ndof, ndof))
 
 
-def assemble_vector_mass(grid, coeff=None, cells=None):
-    """Weighted vector Q1 mass matrix, coefficient constant per cell."""
-    if cells is None:
-        cells = np.arange(grid.num_fine_cells)
-    c = np.ones(len(cells)) if coeff is None else np.asarray(coeff)[cells]
-    Mv = np.zeros((8, 8))
-    Mv[0::2, 0::2] = _M_SC
-    Mv[1::2, 1::2] = _M_SC
-    elems = (c * grid.h ** 2)[:, None, None] * Mv
-    dofs = node_dofs(grid.cell_nodes[cells])
-    ndof = 2 * grid.num_fine_nodes
+def assemble_vector_mass(mesh, coeff=None):
+    """Weighted vector Q1 mass matrix (unit weight by default)."""
+    c = np.ones(mesh.num_fine_cells) if coeff is None else np.asarray(coeff)
+    elems = (c * mesh.h ** 2)[:, None, None] * _M_VEC
+    dofs = node_dofs(mesh.cell_nodes)
+    ndof = 2 * mesh.num_fine_nodes
     return _scatter(dofs, dofs, elems, (ndof, ndof))
 
 
-def assemble_coupling_B(grid, alpha):
+def assemble_coupling_B(mesh, alpha):
     """B[v, q] = int alpha (div v) q, shape (ndof_u, ndof_p)."""
-    cells = np.arange(grid.num_fine_cells)
+    cells = np.arange(mesh.num_fine_cells)
     dv = np.empty(8)
     dv[0::2] = _DIVX
     dv[1::2] = _DIVY
-    elems = (alpha * grid.h) * np.tile(dv, (len(cells), 1))[:, :, None]
-    dofs_u = node_dofs(grid.cell_nodes)
-    dofs_p = cells[:, None]
-    return _scatter(dofs_u, dofs_p, elems,
-                    (2 * grid.num_fine_nodes, grid.num_fine_cells))
+    elems = (alpha * mesh.h) * np.tile(dv, (len(cells), 1))[:, :, None]
+    return _scatter(node_dofs(mesh.cell_nodes), cells[:, None], elems,
+                    (2 * mesh.num_fine_nodes, len(cells)))
 
 
-def assemble_velocity_mass(grid, coeff, cells=None):
-    """Weighted RT0 mass matrix, cellwise-constant coefficient."""
-    if cells is None:
-        cells = np.arange(grid.num_fine_cells)
-    c = np.asarray(coeff)
-    c = c[cells] if c.ndim else np.full(len(cells), float(c))
-    elems = (c * grid.h ** 2)[:, None, None] * _RT_MASS
-    dofs = grid.cell_edges[cells]
-    return _scatter(dofs, dofs, elems,
-                    (grid.num_fine_edges, grid.num_fine_edges))
+def assemble_velocity_mass(mesh, coeff):
+    """Weighted RT0 mass matrix."""
+    elems = (np.asarray(coeff) * mesh.h ** 2)[:, None, None] * _RT_MASS
+    ne = mesh.num_fine_edges
+    return _scatter(mesh.cell_edges, mesh.cell_edges, elems, (ne, ne))
 
 
-def assemble_div_K(grid, cells=None):
+def assemble_div_K(mesh):
     """K[z, q] = int (div z) q, shape (ndof_g, ndof_p); entries +-h."""
-    if cells is None:
-        cells = np.arange(grid.num_fine_cells)
-    s = np.array([-1.0, 1.0, -1.0, 1.0])
-    elems = grid.h * np.tile(s, (len(cells), 1))[:, :, None]
-    return _scatter(grid.cell_edges[cells], cells[:, None], elems,
-                    (grid.num_fine_edges, grid.num_fine_cells))
+    cells = np.arange(mesh.num_fine_cells)
+    elems = mesh.h * np.tile(_RT_DIV, (len(cells), 1))[:, :, None]
+    return _scatter(mesh.cell_edges, cells[:, None], elems,
+                    (mesh.num_fine_edges, len(cells)))
 
 
-def assemble_divdiv(grid, cells=None):
+def assemble_divdiv(mesh):
     """Gram matrix of cellwise divergences, int (div g)(div z)."""
-    if cells is None:
-        cells = np.arange(grid.num_fine_cells)
-    s = np.array([-1.0, 1.0, -1.0, 1.0])
-    elems = np.tile(np.outer(s, s), (len(cells), 1, 1))
-    dofs = grid.cell_edges[cells]
-    return _scatter(dofs, dofs, elems,
-                    (grid.num_fine_edges, grid.num_fine_edges))
+    elems = np.tile(np.outer(_RT_DIV, _RT_DIV), (mesh.num_fine_cells, 1, 1))
+    ne = mesh.num_fine_edges
+    return _scatter(mesh.cell_edges, mesh.cell_edges, elems, (ne, ne))
 
 
-def assemble_pressure_mass(grid, coeff=None):
-    """Diagonal pressure mass, int coeff q p, coefficient per cell."""
-    c = np.ones(grid.num_fine_cells) if coeff is None else np.asarray(coeff)
-    return sp.diags(c * grid.h ** 2).tocsr()
+def assemble_pressure_mass(mesh, coeff=None):
+    """Diagonal pressure mass, int coeff q p (unit weight by default)."""
+    c = np.ones(mesh.num_fine_cells) if coeff is None else np.asarray(coeff)
+    return sp.diags(c * mesh.h ** 2).tocsr()
 
 
 def assemble_operators(spaces: FineSpaces, med) -> OperatorSet:

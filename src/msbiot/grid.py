@@ -141,9 +141,14 @@ class GridHierarchy:
                          if not self.coarse_vertex_is_boundary(j)])
 
     def fine_cells_of_coarse_cell(self, c):
+        """Fine cells of coarse cell c, ascending."""
         if not 0 <= c < self.num_coarse_cells:
             raise IndexError(f"coarse cell index {c} out of range")
-        return np.flatnonzero(self.coarse_cell_of_fine_cell == c)
+        m = self.m
+        CY, CX = divmod(c, self.N)
+        iy = np.arange(CY * m, (CY + 1) * m)[:, None]
+        ix = np.arange(CX * m, (CX + 1) * m)
+        return (iy * self.n + ix).ravel()
 
     # ---- neighborhoods -------------------------------------------------
 
@@ -152,28 +157,20 @@ class GridHierarchy:
         if not 0 <= j < self.num_coarse_vertices:
             raise IndexError(f"coarse vertex index {j} out of range")
         N = self.N
-        VX, VY = j % (N + 1), j // (N + 1)
-        members = []
-        for CY in (VY - 1, VY):
-            for CX in (VX - 1, VX):
-                if 0 <= CX < N and 0 <= CY < N:
-                    members.append(CY * N + CX)
-        return Neighborhood(np.array(members), self)
+        VY, VX = divmod(j, N + 1)
+        return Neighborhood([CY * N + CX for CY in (VY - 1, VY)
+                             for CX in (VX - 1, VX)
+                             if 0 <= CX < N and 0 <= CY < N], self)
 
     def edge_neighborhood(self, i):
         """Union of the coarse cells adjacent to coarse edge i."""
         orient, IX, IY = self.coarse_edge_components(i)
         N = self.N
-        members = []
         if orient == VERTICAL:
-            for CX in (IX - 1, IX):
-                if 0 <= CX < N:
-                    members.append(IY * N + CX)
+            members = [IY * N + CX for CX in (IX - 1, IX) if 0 <= CX < N]
         else:
-            for CY in (IY - 1, IY):
-                if 0 <= CY < N:
-                    members.append(CY * N + IX)
-        return Neighborhood(np.array(members), self)
+            members = [CY * N + IX for CY in (IY - 1, IY) if 0 <= CY < N]
+        return Neighborhood(members, self)
 
     # ---- boundary ------------------------------------------------------
 
@@ -201,19 +198,30 @@ class GridHierarchy:
 
 
 class Neighborhood:
-    """Coarse-cell union around a vertex or edge, with local entity maps.
+    """A union of coarse cells, as a mesh in its own local numbering.
 
-    Local entity numbering is the position in the sorted arrays
-    ``fine_cells``, ``fine_nodes``, ``fine_edges``.
+    The local number of a fine cell, node or edge is its position in the
+    sorted global arrays ``fine_cells``, ``fine_nodes``, ``fine_edges``.
+    ``cell_nodes`` and ``cell_edges`` give each local cell's nodes and
+    edges in that numbering, in the grid's per-cell order.  With ``h``
+    and the ``num_fine_*`` counts they are all a fine_fem assembler
+    reads, so a local matrix is assembled on the neighborhood itself.
     """
 
     def __init__(self, members, grid):
-        self.members = members
-
-        mask = np.isin(grid.coarse_cell_of_fine_cell, members)
-        self.fine_cells = np.flatnonzero(mask)
-        self.fine_nodes = np.unique(grid.cell_nodes[self.fine_cells])
-        self.fine_edges = np.unique(grid.cell_edges[self.fine_cells])
+        self.members = np.asarray(members)
+        self.h = grid.h
+        self.fine_cells = np.sort(np.concatenate(
+            [grid.fine_cells_of_coarse_cell(c) for c in self.members]))
+        self.fine_nodes, nodes = np.unique(grid.cell_nodes[self.fine_cells],
+                                           return_inverse=True)
+        self.fine_edges, edges = np.unique(grid.cell_edges[self.fine_cells],
+                                           return_inverse=True)
+        self.cell_nodes = nodes.reshape(-1, 4)
+        self.cell_edges = edges.reshape(-1, 4)
+        self.num_fine_cells = len(self.fine_cells)
+        self.num_fine_nodes = len(self.fine_nodes)
+        self.num_fine_edges = len(self.fine_edges)
 
     def local_cells(self, global_idx):
         return _local(self.fine_cells, global_idx, "fine cell")
@@ -226,10 +234,9 @@ class Neighborhood:
 
 
 def _local(sorted_globals, global_idx, what):
-    loc = np.searchsorted(sorted_globals, global_idx)
-    if np.any(loc >= len(sorted_globals)) or \
-            np.any(sorted_globals[np.minimum(loc, len(sorted_globals) - 1)]
-                   != np.asarray(global_idx)):
+    loc = np.minimum(np.searchsorted(sorted_globals, global_idx),
+                     len(sorted_globals) - 1)
+    if np.any(sorted_globals[loc] != global_idx):
         raise IndexError(f"{what} index not in neighborhood")
     return loc
 

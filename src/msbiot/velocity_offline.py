@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fine_fem
+from .grid import Neighborhood
 
 
 def edge_kappa(grid, med, fine_edges):
@@ -73,18 +74,16 @@ def build_snapshot_space(grid, med):
     snaps = [EdgeSnapshots(grid, i) for i in range(grid.num_coarse_edges)]
     N, m, h = grid.N, grid.m, grid.h
     alpha = h / (m * h) ** 2             # |alpha| = h * N^2
+    weight = med.nu / med.kappa
     for c in range(grid.num_coarse_cells):
-        cells = grid.fine_cells_of_coarse_cell(c)
-        edges = np.unique(grid.cell_edges[cells])
+        block = Neighborhood([c], grid)
+        cells, edges = block.fine_cells, block.fine_edges
         # edges shared by two block cells are interior to the block
-        counts = np.bincount(
-            np.searchsorted(edges, grid.cell_edges[cells].ravel()))
+        counts = np.bincount(block.cell_edges.ravel())
         ii = np.flatnonzero(counts == 2)
         bb = np.flatnonzero(counts != 2)
-        Jb = fine_fem.submat(fine_fem.assemble_velocity_mass(
-            grid, med.nu / med.kappa, cells), edges, edges)
-        Kb = fine_fem.submat(fine_fem.assemble_div_K(grid, cells),
-                             edges, cells)
+        Jb = fine_fem.assemble_velocity_mass(block, weight[cells])
+        Kb = fine_fem.assemble_div_K(block)
         w = np.full((len(cells), 1), h ** 2)
         lu = spla.splu(sp.bmat([
             [Jb[ii][:, ii], -Kb[ii], None],
@@ -138,10 +137,9 @@ def spectral_reduce_1(grid, med, snap: EdgeSnapshots):
     # edge form is diagonal in the snapshot coordinates
     flux = S[loc_E, :]
     a_mat = flux.T @ ((grid.h / kap_e)[:, None] * flux)
-    energy = fine_fem.assemble_velocity_mass(grid, 1.0 / med.kappa,
-                                             nb.fine_cells) \
-        + fine_fem.assemble_divdiv(grid, nb.fine_cells)
-    s_mat = S.T @ (fine_fem.submat(energy, nb.fine_edges, nb.fine_edges) @ S)
+    energy = fine_fem.assemble_velocity_mass(
+        nb, 1.0 / med.kappa[nb.fine_cells]) + fine_fem.assemble_divdiv(nb)
+    s_mat = S.T @ (energy @ S)
     return _edge_eigh(snap, a_mat, s_mat, allow_shift=False)
 
 
@@ -149,8 +147,7 @@ def spectral_reduce_2(grid, med, snap: EdgeSnapshots):
     """Neighborhood velocity form against the pressure-jump form."""
     S = snap.vel
     nb = snap.nb
-    Jk = fine_fem.submat(fine_fem.assemble_velocity_mass(
-        grid, 1.0 / med.kappa, nb.fine_cells), nb.fine_edges, nb.fine_edges)
+    Jk = fine_fem.assemble_velocity_mass(nb, 1.0 / med.kappa[nb.fine_cells])
     a_mat = S.T @ (Jk @ S)
     jumps = snap.pressure_jumps(grid)
     s_mat = grid.h * jumps.T @ jumps

@@ -110,10 +110,9 @@ def test_criterion_4_spectral_sanity():
             ok &= np.all(np.isreal(vals)) and np.all(vals >= 0.0)
             ok &= np.all(np.diff(vals) >= -1e-12 * max(vals.max(), 1.0))
             if problem == 1:
-                cells, edges = eb.nb.fine_cells, eb.nb.fine_edges
-                Jk = ff.submat(ff.assemble_velocity_mass(
-                    grid, 1.0 / med.kappa, cells), edges, edges)
-                DD = ff.submat(ff.assemble_divdiv(grid, cells), edges, edges)
+                Jk = ff.assemble_velocity_mass(
+                    eb.nb, 1.0 / med.kappa[eb.nb.fine_cells])
+                DD = ff.assemble_divdiv(eb.nb)
                 G = eb.fields.T @ ((Jk + DD) @ eb.fields)
                 worst_gram = max(worst_gram,
                                  np.abs(G - np.eye(len(G))).max())
@@ -124,9 +123,8 @@ def test_criterion_4_spectral_sanity():
         nzero = np.sum(np.abs(vals) <= 1e-9 * vals.max())
         ok &= nzero >= 2
         worst_zero = max(worst_zero, np.abs(vals[:2]).max() / vals.max())
-        dofs = ff.node_dofs(nb.fine_nodes)
-        S = ff.submat(ff.assemble_vector_mass(
-            grid, med.lam + 2 * med.mu, nb.fine_cells), dofs, dofs)
+        S = ff.assemble_vector_mass(
+            nb, (med.lam + 2 * med.mu)[nb.fine_cells])
         G = vecs.T @ (S @ vecs)
         worst_gram = max(worst_gram, np.abs(G - np.eye(len(G))).max())
     ok &= worst_gram <= 1e-8

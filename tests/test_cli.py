@@ -178,6 +178,25 @@ def test_main_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("N = ten\n", ("{path}:1: N", "'ten'")),
+    ("n = 16\nbogus = 3\n", ("{path}:2:", "'bogus'")),
+    (None, ("{path}",)),
+    ("J_u = 0\n", ("J_u",)),
+], ids=["non-numeric", "unknown-key", "missing-file", "out-of-range"])
+def test_main_config_errors_name_the_input(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(path),
+                  "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for part in named:
+        assert part.format(path=path) in err
+
+
 @pytest.mark.parametrize("bad, key", [
     ({"N": 4, "n": 16, "J_g": 5}, "J_g"),     # 4 snapshots per coarse edge
     ({"N": 2, "n": 4, "J_u": 19}, "J_u"),     # 18 DOFs at a corner vertex

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from msbiot.grid import build_hierarchy
-from msbiot.medium import build_medium
+from msbiot.grid import build_hierarchy, Neighborhood
+from msbiot.medium import build_medium, generate_high_contrast
 from msbiot import fine_fem as ff
+from msbiot import velocity_offline as vo
+from msbiot import displacement_offline as do
 
 import oracles
 
@@ -127,3 +129,83 @@ def test_energy_norm():
     v = np.random.default_rng(1).standard_normal(spaces.ndof_u)
     assert np.isclose(ff.energy_norm(v, ops.A) ** 2, v @ (ops.A @ v))
     assert ff.energy_norm(np.zeros(spaces.ndof_u), ops.A) == 0.0
+
+
+# ---- patch assembly: a Neighborhood is a mesh in its own numbering ------
+
+PATCHES = ("block", "interior edge", "boundary edge", "corner vertex",
+           "interior vertex")
+
+
+@pytest.fixture(scope="module")
+def patch_setup():
+    grid = build_hierarchy(4, 16)
+    med = build_medium(generate_high_contrast(16, "blobs", 1e4))
+    nbs = {"block": Neighborhood([5], grid),
+           "interior edge":
+               grid.edge_neighborhood(grid.interior_coarse_edges()[0]),
+           "boundary edge": grid.edge_neighborhood(0),
+           "corner vertex": grid.vertex_neighborhood(0),
+           "interior vertex":
+               grid.vertex_neighborhood(grid.interior_coarse_vertices()[0])}
+    return grid, med, nbs
+
+
+@pytest.mark.parametrize("patch", PATCHES)
+def test_patch_coefficient_assemblers_match_whole_grid(patch_setup, patch):
+    grid, med, nbs = patch_setup
+    nb = nbs[patch]
+    cells = nb.fine_cells
+    on_patch = np.zeros(grid.num_fine_cells)
+    on_patch[cells] = 1.0
+    dofs = ff.node_dofs(nb.fine_nodes)
+    weight = med.lam + 2 * med.mu
+    # (patch matrix, whole-grid matrix of the coefficient times the
+    # patch's cell indicator, the patch's DOFs in the whole grid)
+    pairs = (
+        (ff.assemble_elasticity(nb, med.lam[cells], med.mu[cells]),
+         ff.assemble_elasticity(grid, med.lam * on_patch,
+                                med.mu * on_patch), dofs),
+        (ff.assemble_vector_mass(nb, weight[cells]),
+         ff.assemble_vector_mass(grid, weight * on_patch), dofs),
+        (ff.assemble_velocity_mass(nb, 1.0 / med.kappa[cells]),
+         ff.assemble_velocity_mass(grid, (1.0 / med.kappa) * on_patch),
+         nb.fine_edges))
+    for local, whole, idx in pairs:
+        assert np.array_equal(local.toarray(),
+                              ff.submat(whole, idx, idx).toarray())
+
+
+@pytest.mark.parametrize("patch", PATCHES)
+def test_patch_divergence_assemblers_match_whole_grid(patch_setup, patch):
+    grid, _, nbs = patch_setup
+    nb = nbs[patch]
+    Kp = ff.assemble_div_K(nb)
+    K = ff.submat(ff.assemble_div_K(grid), nb.fine_edges, nb.fine_cells)
+    assert np.array_equal(Kp.toarray(), K.toarray())
+    DD = ff.assemble_divdiv(nb).toarray()
+    ref = (Kp @ Kp.T).toarray() / grid.h ** 2
+    assert np.abs(DD - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_offline_stage_assembles_no_whole_grid_matrix(monkeypatch):
+    grid = build_hierarchy(4, 16)
+    med = build_medium(generate_high_contrast(16, "blobs", 1e4))
+    shapes = []
+    scatter = ff._scatter
+
+    def recording(dofs_r, dofs_c, elems, shape):
+        shapes.append(shape)
+        return scatter(dofs_r, dofs_c, elems, shape)
+
+    monkeypatch.setattr(ff, "_scatter", recording)
+    vo.build_snapshot_space(grid, med)
+    do.build_pou(grid, med)
+    for problem in (1, 2):
+        vo.VelocityOfflineBasis(grid, med, problem)
+    for j in range(grid.num_coarse_vertices):
+        do.local_displacement_eig(grid, med, j, J_u=4)
+    whole = {grid.num_fine_cells, grid.num_fine_edges,
+             2 * grid.num_fine_nodes}
+    assert shapes
+    assert not [s for s in shapes if set(s) & whole]

@@ -8,7 +8,7 @@ are derandomized, so every run checks the same cases.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from msbiot.grid import build_hierarchy
+from msbiot.grid import build_hierarchy, Neighborhood
 from msbiot.medium import build_medium
 from msbiot import fine_fem as ff
 from msbiot import velocity_offline as vo
@@ -75,10 +75,31 @@ def test_local_eig_leading_modes_are_nested(N, m, contrast, seed, k, vertex):
     # the leading k modes are determined only when a gap follows them
     assume(vals[k] - vals[k - 1] > 1e-6 * vals[k])
     _, vecs_k, _ = do.local_displacement_eig(grid, med, j, J_u=k)
-    dofs = ff.node_dofs(nb.fine_nodes)
-    S = ff.submat(ff.assemble_vector_mass(grid, med.lam + 2 * med.mu,
-                                          nb.fine_cells), dofs, dofs)
+    S = ff.assemble_vector_mass(nb, (med.lam + 2 * med.mu)[nb.fine_cells])
     lead = vecs[:, :k]
     # S-orthogonal projection onto the leading k modes of the larger build
     proj = lead @ (lead.T @ (S @ vecs_k))
     assert np.abs(proj - vecs_k).max() < 1e-8 * np.abs(vecs_k).max()
+
+
+@small
+@given(N=st.integers(2, 4), m=st.integers(1, 4))
+def test_patches_number_their_entities_locally(N, m):
+    grid = build_hierarchy(N, N * m)
+    cc = grid.coarse_cell_of_fine_cell
+    patches = ([grid.vertex_neighborhood(j)
+                for j in range(grid.num_coarse_vertices)]
+               + [grid.edge_neighborhood(i)
+                  for i in range(grid.num_coarse_edges)]
+               + [Neighborhood([c], grid)
+                  for c in range(grid.num_coarse_cells)])
+    for nb in patches:
+        assert np.array_equal(nb.fine_cells,
+                              np.flatnonzero(np.isin(cc, nb.members)))
+        assert np.array_equal(nb.fine_nodes[nb.cell_nodes],
+                              grid.cell_nodes[nb.fine_cells])
+        assert np.array_equal(nb.fine_edges[nb.cell_edges],
+                              grid.cell_edges[nb.fine_cells])
+    for c in range(grid.num_coarse_cells):
+        assert np.array_equal(grid.fine_cells_of_coarse_cell(c),
+                              np.flatnonzero(cc == c))

@@ -116,10 +116,9 @@ def test_spectral_1_eigvecs_s_orthonormal():
     grid, med = _grid_med()
     snap = vo.build_snapshot_space(grid, med)[grid.interior_coarse_edges()[0]]
     eb = vo.spectral_reduce_1(grid, med, snap)
-    cells, edges = snap.nb.fine_cells, snap.nb.fine_edges
-    Jk = ff.submat(ff.assemble_velocity_mass(grid, 1.0 / med.kappa, cells),
-                   edges, edges)
-    DD = ff.submat(ff.assemble_divdiv(grid, cells), edges, edges)
+    Jk = ff.assemble_velocity_mass(snap.nb,
+                                   1.0 / med.kappa[snap.nb.fine_cells])
+    DD = ff.assemble_divdiv(snap.nb)
     G = eb.fields.T @ ((Jk + DD) @ eb.fields)
     assert np.abs(G - np.eye(len(G))).max() < 1e-8
 
