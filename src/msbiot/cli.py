@@ -43,8 +43,12 @@ class ScenarioConfig:
     velocity_weight: str = "paper"
 
     def __post_init__(self):
-        if self.model not in ("model1", "model2"):
-            raise ValueError(f"unknown model {self.model!r}")
+        for key, allowed in (("model", ("model1", "model2")),
+                             ("scheme", ("fixed_stress", "fully_coupled")),
+                             ("velocity_weight", ("paper", "energy"))):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}"
+                                 f", got {getattr(self, key)!r}")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.spectral_problem not in (1, 2):
@@ -66,6 +70,8 @@ class ScenarioConfig:
             raise ValueError(f"contrast must be >= 1, got {self.contrast}")
         if not -1.0 < self.eta < 0.5:
             raise ValueError(f"eta must lie in (-1, 1/2), got {self.eta}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
 _INT_KEYS = {"N", "n", "J_u", "J_g", "J_t", "spectral_problem", "seed"}

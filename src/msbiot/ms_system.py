@@ -83,7 +83,10 @@ def solve_multiscale(fine_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
     coarse_loads = [ms.R_p.T @ ti.step_load(loads, k, (k + 1) * cfg.tau)
                     for k in range(cfg.J_t)]
     p0_c = project_initial_pressure(ms, p0_fine)
-    traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads, p0_c)
+    # the coarse pressure is one constant per coarse cell, so its Schur
+    # complement is small and dense
+    traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads, p0_c,
+                    schur=True)
     traj_f = ti.Trajectory([downscale(ms, s) for s in traj_c.states])
     return traj_c, traj_f
 

@@ -5,12 +5,22 @@ the fine reference problem and the projected multiscale problem.  Two
 schemes: a fixed-stress splitting (flow block first, then elasticity)
 and a monolithic fully-coupled solve.  All essential boundary values
 are homogeneous, so masked DOFs simply stay zero.
+
+Every block is solved by a direct factorization, refined against the
+sparse block.  That factorization is SuperLU's, except for a
+fully-coupled system whose pressure has few unknowns, such as the
+coarse one with its N^2 cell constants: run(..., schur=True) factors it
+by blocks onto the pressure, with dense Cholesky factors of the
+elasticity and Darcy blocks and of the pressure Schur complement, and
+the initial state reuses the first two.  The fine pressure has n^2
+unknowns, so its Schur complement would be a dense n^2 x n^2 matrix.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,19 +65,23 @@ class Trajectory:
 
 
 class _Solver:
-    """Direct sparse factorization with iterative refinement.
+    """Direct factorization with iterative refinement.
 
-    Refines to 1e-10 relative residual; high-contrast coefficients can
-    otherwise leave a single LU backsolve short of that.
+    factorize(M) returns an object whose solve(rhs) solves with M;
+    SuperLU's splu by default.  Refines to 1e-10 relative residual
+    against M; high-contrast coefficients can otherwise leave a single
+    backsolve short of that.
     """
 
-    def __init__(self, M, name):
+    def __init__(self, M, name, factorize=None):
         self.M = M.tocsc()
         self.name = name
         try:
-            self.lu = spla.splu(self.M)
-        except RuntimeError:
-            self.lu = None  # singular factorization; least-squares fallback
+            self.lu = (factorize or spla.splu)(self.M)
+        except (RuntimeError, np.linalg.LinAlgError):
+            # singular LU or a Cholesky that met a nonpositive pivot;
+            # least-squares fallback
+            self.lu = None
 
     def solve(self, rhs):
         scale = np.linalg.norm(rhs)
@@ -95,12 +109,60 @@ class _Solver:
         return x
 
 
+class _Cholesky:
+    """Dense Cholesky factor of an SPD matrix, with a solve(rhs) like
+    SuperLU's."""
+
+    def __init__(self, M):
+        self.cf = sla.cho_factor(M.toarray() if sp.issparse(M) else M,
+                                 overwrite_a=True)
+
+    def solve(self, rhs):
+        return sla.cho_solve(self.cf, rhs, check_finite=False)
+
+
+class _PressureSchur:
+    """Block factor of the fully-coupled matrix
+
+        [ A      0    -B  ]
+        [ 0      J    -K  ]
+        [ B.T/τ  K.T  D/τ ]
+
+    onto its pressure, from the Cholesky factors of A and J and of the
+    SPD Schur complement S = D/τ + B.T A⁻¹ B/τ + K.T J⁻¹ K, which has
+    one row per pressure unknown.  A solve is a back-solve with A and J,
+    one with S, and the update of u and g by the new pressure.
+    """
+
+    def __init__(self, A, J, B, K, D, tau):
+        if A is None or J is None:
+            raise np.linalg.LinAlgError("the A or J block has no factor")
+        self.A, self.J, self.tau = A, J, tau
+        self.Bt, self.Kt = B.T.tocsr(), K.T.tocsr()
+        self.AiB = A.solve(B.toarray())
+        self.JiK = J.solve(K.toarray())
+        self.S = _Cholesky(D.toarray() / tau + self.Bt @ self.AiB / tau
+                           + self.Kt @ self.JiK)
+
+    def solve(self, rhs):
+        nu, ng = self.AiB.shape[0], self.JiK.shape[0]
+        y_u = self.A.solve(rhs[:nu])
+        y_g = self.J.solve(rhs[nu:nu + ng])
+        p = self.S.solve(rhs[nu + ng:] - self.Bt @ y_u / self.tau
+                         - self.Kt @ y_g)
+        return np.concatenate([y_u + self.AiB @ p, y_g + self.JiK @ p, p])
+
+
 class _Stepper:
     """What both schemes share: the operators, free-DOF index sets, the
     blocks restricted to them (each scheme's _factor builds its
     solvers), the pressure right-hand side, whose couplings are the
     adjoints B.T and K.T, and the scatter of a solution to full-length
-    vectors."""
+    vectors.  A stepper whose _factor keeps solvers of the elasticity
+    block A_ff or the Darcy block J_ff names them elas and darcy, and
+    initialize reuses them."""
+
+    elas = darcy = None
 
     def __init__(self, ops, free_u, free_g, tau):
         self.tau = tau
@@ -146,15 +208,19 @@ class FixedStressStepper(_Stepper):
 
 
 class FullyCoupledStepper(_Stepper):
-    """One step of the monolithic three-field solve."""
+    """One step of the monolithic three-field solve, with SuperLU's
+    factorization of the whole matrix."""
 
     def _factor(self, A_ff, J_ff, K_fp):
+        self.mono = _Solver(self._mono_matrix(A_ff, J_ff, K_fp),
+                            "monolithic block")
+
+    def _mono_matrix(self, A_ff, J_ff, K_fp):
         tau = self.tau
-        self.mono = _Solver(sp.bmat([
+        return sp.bmat([
             [A_ff, None, -self.B_fp],
             [None, J_ff, -K_fp],
-            [self.B_fp.T / tau, K_fp.T, self.ops.D / tau]], format="csc"),
-            "monolithic block")
+            [self.B_fp.T / tau, K_fp.T, self.ops.D / tau]], format="csc")
 
     def step(self, state, u_prev, load):
         nu, ng = len(self._iu), len(self._ig)
@@ -165,25 +231,40 @@ class FullyCoupledStepper(_Stepper):
         return self._state(state, sol[:nu], sol[nu:nu + ng], sol[nu + ng:])
 
 
+class SchurFullyCoupledStepper(FullyCoupledStepper):
+    """The monolithic solve with the _PressureSchur block factor, for a
+    system whose pressure has few unknowns.  Its elasticity and Darcy
+    factors also serve initialize."""
+
+    def _factor(self, A_ff, J_ff, K_fp):
+        self.elas = _Solver(A_ff, "elasticity block", _Cholesky)
+        self.darcy = _Solver(J_ff, "darcy block", _Cholesky)
+        self.mono = _Solver(
+            self._mono_matrix(A_ff, J_ff, K_fp), "monolithic block",
+            lambda M: _PressureSchur(self.elas.lu, self.darcy.lu, self.B_fp,
+                                     K_fp, self.ops.D, self.tau))
+
+
 def initialize(stepper, p0):
     """Consistent initial state from the prescribed initial pressure.
 
     u0 solves the elasticity relation against p0; g0 solves the Darcy
     relation against p0; the previous-step displacement is set to u0.
-    The fixed-stress elasticity factorization is reused; the monolithic
-    stepper keeps none, so its initial solver lives for this solve only.
+    The stepper's elas and darcy solvers are reused where it has them;
+    any other initial solver lives for this solve only.
     """
     ops, iu, ig = stepper.ops, stepper._iu, stepper._ig
     p0 = np.asarray(p0, dtype=float)
     u = np.zeros(ops.A.shape[0])
     if len(iu):
-        elas = stepper.elas if isinstance(stepper, FixedStressStepper) \
-            else _Solver(submat(ops.A, iu, iu), "initial elasticity")
+        elas = stepper.elas or _Solver(submat(ops.A, iu, iu),
+                                       "initial elasticity")
         u[iu] = elas.solve(stepper.B_fp @ p0)
     g = np.zeros(ops.J.shape[0])
     if len(ig):
-        g[ig] = _Solver(submat(ops.J, ig, ig), "initial flow").solve(
-            submat(ops.K, ig, np.arange(len(p0))) @ p0)
+        darcy = stepper.darcy or _Solver(submat(ops.J, ig, ig),
+                                         "initial flow")
+        g[ig] = darcy.solve(submat(ops.K, ig, np.arange(len(p0))) @ p0)
     state = SystemState(u, g, p0.copy(), 0.0)
     return state, u.copy()
 
@@ -201,20 +282,25 @@ def step_load(loads, k, t):
     return loads
 
 
-def make_stepper(cfg: SchemeConfig, ops, free_u, free_g):
-    cls = FixedStressStepper if cfg.scheme == "fixed_stress" \
-        else FullyCoupledStepper
+def make_stepper(cfg: SchemeConfig, ops, free_u, free_g, schur=False):
+    """The stepper of cfg.scheme.  schur: factor a fully-coupled system
+    by blocks onto its pressure (SchurFullyCoupledStepper); only for a
+    system with few pressure unknowns.  Fixed stress ignores it."""
+    if cfg.scheme == "fixed_stress":
+        cls = FixedStressStepper
+    else:
+        cls = SchurFullyCoupledStepper if schur else FullyCoupledStepper
     return cls(ops, free_u, free_g, cfg.tau)
 
 
 def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
-        keep_history=True):
+        keep_history=True, schur=False):
     """Advance J_t uniform steps from the initial pressure p0.
 
     loads: as step_load takes them; a callable is evaluated at the end
-    of each step interval.
+    of each step interval.  schur: as make_stepper takes it.
     """
-    stepper = make_stepper(cfg, ops, free_u, free_g)
+    stepper = make_stepper(cfg, ops, free_u, free_g, schur)
     state, u_prev = initialize(stepper, p0)
     traj = Trajectory([state.copy()])
     for k in range(cfg.J_t):

@@ -30,9 +30,13 @@ def test_config_defaults_and_validation():
                      ({"J_u": 0}, "J_u"), ({"J_g": 0}, "J_g"),
                      ({"J_t": 0}, "J_t"), ({"nu": 0.0}, "nu"),
                      ({"contrast": 0.5}, "contrast"), ({"eta": 0.5}, "eta"),
-                     ({"eta": -1.0}, "eta")):
+                     ({"eta": -1.0}, "eta"), ({"scheme": "foo"}, "scheme"),
+                     ({"velocity_weight": "foo"}, "velocity_weight"),
+                     ({"alpha": -3.0}, "alpha"), ({"alpha": 0.0}, "alpha"),
+                     ({"alpha": 1.5}, "alpha")):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             cli.ScenarioConfig(**bad)
+    assert cli.ScenarioConfig(alpha=1.0, velocity_weight="energy").alpha == 1.0
 
 
 def test_parse_config_file(tmp_path):
@@ -183,7 +187,9 @@ def test_main_config_file(tmp_path, capsys):
     ("n = 16\nbogus = 3\n", ("{path}:2:", "'bogus'")),
     (None, ("{path}",)),
     ("J_u = 0\n", ("J_u",)),
-], ids=["non-numeric", "unknown-key", "missing-file", "out-of-range"])
+    ("scheme = foo\n", ("scheme", "'foo'")),
+], ids=["non-numeric", "unknown-key", "missing-file", "out-of-range",
+        "unknown-choice"])
 def test_main_config_errors_name_the_input(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.txt"
     if text is not None:

@@ -11,6 +11,8 @@ from msbiot import fine_fem as ff
 from msbiot import time_integrator as ti
 from msbiot import ms_system as ms
 
+import oracles
+
 
 def _setup(N=4, n=16, contrast=100.0, model="model1"):
     grid = build_hierarchy(N, n)
@@ -139,10 +141,10 @@ def test_conservation_report_rejects_gapped_history(setup, space):
 
 def test_dense_fallback_warns(setup):
     # full retention makes the coarse elasticity block singular, so the
-    # dense least-squares fallback runs, and says so; truncated spaces
-    # and the fine reference factorize cleanly
+    # dense least-squares fallback runs, and says so, whether the block
+    # has SuperLU's factor (fixed stress) or a Cholesky factor (fully
+    # coupled); truncated spaces and the fine reference factorize cleanly
     grid, med, bspec, spaces, ops, p0, load = setup
-    cfg = ti.SchemeConfig(T=1.0, J_t=2)
 
     def fallbacks(run):
         with warnings.catch_warnings(record=True) as caught:
@@ -151,13 +153,76 @@ def test_dense_fallback_warns(setup):
         return sum("least-squares fallback" in str(w.message)
                    for w in caught)
 
-    assert fallbacks(lambda: ti.run(cfg, ops, spaces.free_u, spaces.free_g,
-                                    load, p0)) == 0
-    for J_u, J_g, fires in ((None, None, True), (4, 1, False),
-                            (20, 2, False)):
-        space = ms.build_multiscale_space(grid, med, bspec, J_u, J_g)
-        n = fallbacks(lambda: ms.solve_multiscale(ops, space, cfg, load, p0))
-        assert (n > 0) == fires, (J_u, J_g, n)
+    cases = [(J_u, J_g, fires,
+              ms.build_multiscale_space(grid, med, bspec, J_u, J_g))
+             for J_u, J_g, fires in ((None, None, True), (4, 1, False),
+                                     (20, 2, False))]
+    for scheme in ("fixed_stress", "fully_coupled"):
+        cfg = ti.SchemeConfig(scheme, T=1.0, J_t=2)
+        assert fallbacks(lambda: ti.run(cfg, ops, spaces.free_u,
+                                        spaces.free_g, load, p0)) == 0
+        for J_u, J_g, fires, space in cases:
+            n = fallbacks(
+                lambda: ms.solve_multiscale(ops, space, cfg, load, p0))
+            assert (n > 0) == fires, (scheme, J_u, J_g, n)
+
+
+@pytest.mark.parametrize("model", ["model1", "model2"])
+def test_coarse_fully_coupled_matches_dense_oracle(model):
+    # the block factor onto the coarse pressure, against dense solves of
+    # the projected matrices; warnings are errors, so a fallback that
+    # would hide a wrong factor fails the test
+    grid, med, bspec, spaces, ops, p0, load = _setup(model=model)
+    space = ms.build_multiscale_space(grid, med, bspec, J_u=6, J_g=2)
+    coarse = ms.project_operators(ops, space)
+    dense = {k: getattr(coarse, k).toarray() for k in "ABDJK"}
+    dense["C"], dense["E"] = dense["B"].T, dense["K"].T
+    p0_c = ms.project_initial_pressure(space, p0)
+    load_c = space.R_p.T @ load
+    cfg = ti.SchemeConfig("fully_coupled", T=1.0, J_t=4)
+    free_u, free_g = space.free_u, space.free_g
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stepper = ti.make_stepper(cfg, coarse, free_u, free_g, schur=True)
+        state, u_prev = ti.initialize(stepper, p0_c)
+        s1 = stepper.step(state, u_prev, load_c)
+    u_o, g_o, _ = oracles.dense_initialize(dense, free_u, free_g, p0_c)
+    want = oracles.dense_fully_coupled_step(dense, free_u, free_g, cfg.tau,
+                                            u_o, p0_c, load_c)
+    for got, ref in ((state.u, u_o), (state.g, g_o), (s1.u, want[0]),
+                     (s1.g, want[1]), (s1.p, want[2])):
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(state.p, p0_c)
+    assert np.array_equal(u_prev, state.u)
+
+
+def test_coarse_fully_coupled_factors_by_blocks(setup, space, monkeypatch):
+    # one dense Cholesky each of the coarse A_ff, J_ff and pressure Schur
+    # complement, reused by initialize, and no SuperLU factorization;
+    # the fine reference keeps SuperLU
+    grid, med, bspec, spaces, ops, p0, load = setup
+    splu_shapes, cholesky_sizes = [], []
+    splu, cho_factor = ti.spla.splu, ti.sla.cho_factor
+
+    def counted_splu(M, *args, **kwargs):
+        splu_shapes.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    def counted_cho_factor(M, *args, **kwargs):
+        cholesky_sizes.append(M.shape[0])
+        return cho_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(ti.spla, "splu", counted_splu)
+    monkeypatch.setattr(ti.sla, "cho_factor", counted_cho_factor)
+    cfg = ti.SchemeConfig("fully_coupled", T=1.0, J_t=2)
+    ms.solve_multiscale(ops, space, cfg, load, p0)
+    assert splu_shapes == []
+    assert sorted(cholesky_sizes) == sorted([
+        space.free_u.sum(), space.free_g.sum(), grid.num_coarse_cells])
+    # the monolithic block, and the initial elasticity and Darcy blocks
+    ti.run(cfg, ops, spaces.free_u, spaces.free_g, load, p0)
+    assert len(splu_shapes) == 3
+    assert len(cholesky_sizes) == 3
 
 
 def test_full_retention_not_worse(setup):
