@@ -19,7 +19,7 @@ from . import time_integrator as ti
 from . import ms_system
 from . import diagnostics
 from .displacement_offline import DisplacementOfflineBasis
-from .velocity_offline import VelocityOfflineBasis
+from .velocity_offline import VelocityOfflineBasis, assemble_R_g
 
 
 @dataclass
@@ -102,6 +102,11 @@ def _coerce(key, val):
     return val
 
 
+def _given(**kwargs):
+    """The keyword arguments that are not None."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def config_from_sources(file_path=None, overrides=None):
     """A config file's keys, overridden by the non-None typed overrides;
     a bad file entry raises ValueError naming its path:line and key."""
@@ -115,8 +120,7 @@ def config_from_sources(file_path=None, overrides=None):
             except ValueError:
                 raise ValueError(f"{where}: {k} takes a number, "
                                  f"got {v!r}") from None
-    kwargs.update((k, v) for k, v in (overrides or {}).items()
-                  if v is not None)
+    kwargs.update(_given(**(overrides or {})))
     return ScenarioConfig(**kwargs)
 
 
@@ -160,8 +164,9 @@ def resolve_field(cfg: ScenarioConfig, ncells):
 # ---- pipeline ----------------------------------------------------------
 
 class Pipeline:
-    """One grid/medium/operator setup with cached fine references and
-    offline bases, so parameter sweeps only redo the cheap stages."""
+    """One grid/medium/operator setup with cached fine references,
+    offline bases and coarse system, so parameter sweeps only redo the
+    cheap stages."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -179,9 +184,12 @@ class Pipeline:
         self._fine_cache = {}
         self._dbasis = None
         self._vbasis = None
+        self._space = self._coarse = None
+        self._space_J_g = 0
 
     def fine_reference(self, J_t=None):
-        J_t = J_t or self.cfg.J_t
+        # ScenarioConfig's checks name a J_t out of range
+        J_t = replace(self.cfg, **_given(J_t=J_t)).J_t
         if J_t not in self._fine_cache:
             cfg = ti.SchemeConfig(self.cfg.scheme, self.cfg.T, J_t)
             self._fine_cache[J_t] = ti.run(
@@ -207,18 +215,36 @@ class Pipeline:
                                                 self.cfg.spectral_problem)
         return self._vbasis
 
+    def _coarse_system(self, J_u, J_g):
+        """The space of (J_u, J_g), as a mask over the coarse system,
+        and the coarse operators.  The system is projected with every
+        mode of the displacement basis and max(J_g, cfg.J_g) modes per
+        edge; its velocity half again when a larger J_g is asked for."""
+        dbasis = self.displacement_basis(J_u)
+        if self._space is None:
+            self._space_J_g = max(J_g, self.cfg.J_g)
+            self._space = ms_system.build_multiscale_space(
+                self.grid, self.med, self.bspec, dbasis.max_modes,
+                self._space_J_g, dbasis=dbasis, vbasis=self.velocity_basis())
+            self._coarse = ms_system.project_operators(self.ops, self._space)
+        elif J_g > self._space_J_g:
+            R_g, free_g, mode_g = assemble_R_g(self.velocity_basis(),
+                                               self.bspec, J_g)
+            self._space = replace(self._space, R_g=R_g, free_g=free_g,
+                                  mode_g=mode_g)
+            self._coarse = ms_system.project_operators(
+                self.ops, self._space, self._coarse)
+            self._space_J_g = J_g
+        return self._space.leading(J_u, J_g), self._coarse
+
     def solve_point(self, J_u=None, J_g=None, J_t=None):
         """Multiscale solve + diagnostics for one parameter point."""
-        cfg = self.cfg
-        J_u = cfg.J_u if J_u is None else J_u
-        J_g = cfg.J_g if J_g is None else J_g
-        J_t = cfg.J_t if J_t is None else J_t
-        ms = ms_system.build_multiscale_space(
-            self.grid, self.med, self.bspec, J_u, J_g, cfg.spectral_problem,
-            dbasis=self.displacement_basis(J_u),
-            vbasis=self.velocity_basis())
+        # ScenarioConfig's checks name a J_u, J_g or J_t out of range
+        cfg = replace(self.cfg, **_given(J_u=J_u, J_g=J_g, J_t=J_t))
+        J_u, J_g, J_t = cfg.J_u, cfg.J_g, cfg.J_t
+        ms, coarse_ops = self._coarse_system(J_u, J_g)
         scheme_cfg = ti.SchemeConfig(cfg.scheme, cfg.T, J_t)
-        _, traj_f = ms_system.solve_multiscale(self.ops, ms, scheme_cfg,
+        _, traj_f = ms_system.solve_multiscale(coarse_ops, ms, scheme_cfg,
                                                self.load, self.p0)
         fine = self.fine_reference(J_t)
         meta = {"N": cfg.N, "n": cfg.n, "Ju": J_u, "Jg": J_g, "Jt": J_t,
@@ -305,8 +331,9 @@ def run_sweep(cfg: ScenarioConfig, key, values):
             for v in values]
     reports = []
     if key in ("J_u", "J_g", "J_t"):
-        if key == "J_u":
-            cfg = replace(cfg, J_u=max(values))
+        if key in ("J_u", "J_g"):
+            # the pipeline builds the basis and projects at the largest
+            cfg = replace(cfg, **{key: max(values)})
         pipeline = Pipeline(cfg)
         for v in values:
             report, max_res, _ = pipeline.solve_point(**{key: v})

@@ -152,8 +152,9 @@ class DisplacementOfflineBasis:
 def assemble_R_u(basis: DisplacementOfflineBasis, J_u=None):
     """Prolongation from offline displacement coefficients to fine DOFs.
 
-    Returns (R_u, free_cols): free_cols masks out columns of boundary
-    coarse vertices (u = 0 on the whole boundary in both models).
+    Returns (R_u, free_cols, modes): free_cols masks out columns of
+    boundary coarse vertices (u = 0 on the whole boundary in both
+    models); modes holds each column's mode index at its vertex.
     """
     grid = basis.grid
     return fine_fem.prolongation(

@@ -176,9 +176,10 @@ def prolongation(blocks, nrows):
 
     blocks yields (rows, fields, free): the global index of each local
     DOF, the local field columns to keep, and whether those columns are
-    free of essential boundary conditions.  Returns (R, free_cols).
+    free of essential boundary conditions.  Returns (R, free_cols,
+    modes), where modes[c] is column c's index among its block's fields.
     """
-    rows, cols, vals, free = [], [], [], []
+    rows, cols, vals, free, modes = [], [], [], [], []
     ncol = 0
     for idx, fields, is_free in blocks:
         k = fields.shape[1]
@@ -186,11 +187,12 @@ def prolongation(blocks, nrows):
         cols.append(np.repeat(np.arange(ncol, ncol + k), len(idx)))
         vals.append(fields.T.ravel())
         free.append(np.full(k, is_free))
+        modes.append(np.arange(k))
         ncol += k
     R = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nrows, ncol)).tocsr()
-    return R, np.concatenate(free)
+    return R, np.concatenate(free), np.concatenate(modes)
 
 
 # ---- assembly routines -------------------------------------------------

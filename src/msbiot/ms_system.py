@@ -5,9 +5,18 @@ with the matching prolongation pair; the adjoint couplings B.T and K.T
 are transposes of the projected B and K.  The projected system is advanced
 by the same time integrator as the fine reference, then downscaled back
 to fine-grid coefficient vectors.
+
+A space truncated to fewer modes per vertex or edge keeps a subset of
+the columns of a larger one, and each entry of R^T M R depends only on
+its own two columns of R.  So cli.Pipeline projects once, at its largest
+J_u and J_g, and a solve point masks out the columns of its trailing
+modes (MultiscaleSpace.leading); the steppers restrict every block to
+the columns left free.  The velocity half (J, K) is projected again
+only when a point asks for a larger J_g; the displacement half (A, B)
+and D are kept.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,17 +29,26 @@ from .velocity_offline import VelocityOfflineBasis, assemble_R_g
 
 @dataclass
 class MultiscaleSpace:
-    """Prolongations and free-column masks of the reduced spaces."""
+    """Prolongations and free-column masks of the reduced spaces, and
+    each column's mode index within its vertex or edge basis."""
     R_u: object
     R_g: object
     R_p: object
     free_u: np.ndarray
     free_g: np.ndarray
+    mode_u: np.ndarray
+    mode_g: np.ndarray
 
     @property
     def dims(self):
         return {"u": self.R_u.shape[1], "g": self.R_g.shape[1],
                 "p": self.R_p.shape[1]}
+
+    def leading(self, J_u, J_g):
+        """The space of the leading J_u modes per vertex and J_g per edge:
+        the same prolongations, with the other columns masked out."""
+        return replace(self, free_u=self.free_u & (self.mode_u < J_u),
+                       free_g=self.free_g & (self.mode_g < J_g))
 
 
 def build_multiscale_space(grid, med, bspec, J_u, J_g, spectral_problem=1,
@@ -44,21 +62,30 @@ def build_multiscale_space(grid, med, bspec, J_u, J_g, spectral_problem=1,
         dbasis = DisplacementOfflineBasis(grid, med, max_modes=J_u)
     if vbasis is None:
         vbasis = VelocityOfflineBasis(grid, med, spectral_problem)
-    R_u, free_u = assemble_R_u(dbasis, J_u)
-    R_g, free_g = assemble_R_g(vbasis, bspec, J_g)
-    R_p = build_coarse_pressure(grid)
-    return MultiscaleSpace(R_u, R_g, R_p, free_u, free_g)
+    R_u, free_u, mode_u = assemble_R_u(dbasis, J_u)
+    R_g, free_g, mode_g = assemble_R_g(vbasis, bspec, J_g)
+    return MultiscaleSpace(R_u, R_g, build_coarse_pressure(grid),
+                           free_u, free_g, mode_u, mode_g)
 
 
-def project_operators(fine_ops: OperatorSet, ms: MultiscaleSpace) -> OperatorSet:
-    """Galerkin projection of every operator onto the reduced spaces."""
+def project_operators(fine_ops: OperatorSet, ms: MultiscaleSpace,
+                      coarse: OperatorSet = None) -> OperatorSet:
+    """Galerkin projection of every operator onto the reduced spaces.
+
+    coarse: an earlier projection onto the same R_u and R_p, whose
+    displacement half (A, B) and D are kept; only the velocity half
+    (J, K) is projected, onto the new R_g.
+    """
     Ru, Rg, Rp = ms.R_u, ms.R_g, ms.R_p
-    return OperatorSet(
-        A=(Ru.T @ fine_ops.A @ Ru).tocsr(),
-        B=(Ru.T @ fine_ops.B @ Rp).tocsr(),
-        D=(Rp.T @ fine_ops.D @ Rp).tocsr(),
-        J=(Rg.T @ fine_ops.J @ Rg).tocsr(),
-        K=(Rg.T @ fine_ops.K @ Rp).tocsr())
+    if coarse is None:
+        A = (Ru.T @ fine_ops.A @ Ru).tocsr()
+        B = (Ru.T @ fine_ops.B @ Rp).tocsr()
+        D = (Rp.T @ fine_ops.D @ Rp).tocsr()
+    else:
+        A, B, D = coarse.A, coarse.B, coarse.D
+    return OperatorSet(A=A, B=B, D=D,
+                       J=(Rg.T @ fine_ops.J @ Rg).tocsr(),
+                       K=(Rg.T @ fine_ops.K @ Rp).tocsr())
 
 
 def project_initial_pressure(ms: MultiscaleSpace, p0_fine):
@@ -73,13 +100,13 @@ def downscale(ms: MultiscaleSpace, state: ti.SystemState) -> ti.SystemState:
                           ms.R_p @ state.p, state.t)
 
 
-def solve_multiscale(fine_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
+def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
                      loads, p0_fine):
-    """Run the projected system and downscale every state.
+    """Run the projected system on the free columns of ms and downscale
+    every state.  coarse_ops: project_operators onto ms's prolongations.
 
     Returns (coarse trajectory, fine-representation trajectory).
     """
-    coarse_ops = project_operators(fine_ops, ms)
     coarse_loads = [ms.R_p.T @ ti.step_load(loads, k, (k + 1) * cfg.tau)
                     for k in range(cfg.J_t)]
     p0_c = project_initial_pressure(ms, p0_fine)

@@ -183,8 +183,9 @@ class VelocityOfflineBasis:
 def assemble_R_g(basis: VelocityOfflineBasis, bspec, J_v):
     """Prolongation from offline velocity coefficients to fine edges.
 
-    Returns (R_g, free_cols): free_cols masks out columns of coarse
-    edges lying on a Gamma2 portion of the boundary.
+    Returns (R_g, free_cols, modes): free_cols masks out columns of
+    coarse edges lying on a Gamma2 portion of the boundary; modes holds
+    each column's mode index at its edge.
     """
     grid = basis.grid
     gamma2 = set(grid.boundary_fine_edges(bspec.gamma2).tolist())

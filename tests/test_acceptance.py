@@ -264,7 +264,9 @@ def test_criterion_9_zero_input_invariance():
     for s in fine.states:
         exactly_zero &= not (s.u.any() or s.g.any() or s.p.any())
     space = ms_system.build_multiscale_space(grid, med, bspec, 4, 2)
-    _, traj_f = ms_system.solve_multiscale(ops, space, cfg, zeros_p, zeros_p)
+    _, traj_f = ms_system.solve_multiscale(
+        ms_system.project_operators(ops, space), space, cfg, zeros_p,
+        zeros_p)
     for s in traj_f.states:
         exactly_zero &= not (s.u.any() or s.g.any() or s.p.any())
     report = dg.zero_report()
@@ -282,7 +284,9 @@ def test_criterion_10_nestedness():
 
     def errors(J_u, J_g):
         space = ms_system.build_multiscale_space(grid, med, bspec, J_u, J_g)
-        _, traj_f = ms_system.solve_multiscale(ops, space, cfg, p.load, p.p0)
+        _, traj_f = ms_system.solve_multiscale(
+            ms_system.project_operators(ops, space), space, cfg, p.load,
+            p.p0)
         return np.array(dg.compute_errors(
             traj_f.final, fine_ref, ops, grid, med).values())
 

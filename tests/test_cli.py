@@ -148,6 +148,21 @@ def test_run_sweep_basis_counts(tmp_path):
     assert os.path.exists(os.path.join(outdir, "sweep.csv"))
 
 
+def test_run_sweep_projects_a_J_g_sweep_once(tmp_path, monkeypatch):
+    calls = []
+    project = cli.ms_system.project_operators
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(cli.ms_system, "project_operators", counted)
+    cfg = cli.ScenarioConfig(outdir=str(tmp_path), **SMALL)
+    reports = cli.run_sweep(cfg, "J_g", [1, 3])
+    assert [r.Jg for _, r, _ in reports] == [1, 3]
+    assert len(calls) == 1
+
+
 def test_run_sweep_generic_key(tmp_path):
     outdir = str(tmp_path / "sweepN")
     cfg = cli.ScenarioConfig(outdir=outdir, **SMALL)
@@ -233,6 +248,25 @@ def test_sweep_checks_every_value_before_the_first_pipeline(tmp_path,
     cfg = cli.ScenarioConfig(outdir=str(tmp_path), **SMALL)
     with pytest.raises(ValueError, match=r"\bJ_g\b"):
         cli.run_sweep(cfg, "J_g", [1, 9])
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda p: p.solve_point(J_g=9), "J_g"),    # 4 snapshots per coarse edge
+    (lambda p: p.solve_point(J_u=0), "J_u"),
+    (lambda p: p.fine_reference(0), "J_t"),
+], ids=["J_g=9", "J_u=0", "J_t=0"])
+def test_pipeline_rejects_out_of_range_points_before_any_work(monkeypatch,
+                                                               call, key):
+    p = cli.Pipeline(cli.ScenarioConfig(**SMALL))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("DisplacementOfflineBasis", "VelocityOfflineBasis"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.ti, "run", no_work)
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        call(p)
 
 
 def test_pipeline_builds_the_displacement_basis_once():

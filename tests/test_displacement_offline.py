@@ -159,7 +159,7 @@ def test_constant_pou_identity():
 def test_assemble_R_u_counts_and_boundary():
     grid, med = _grid_med(N=4, n=8)
     basis = do.DisplacementOfflineBasis(grid, med, max_modes=3)
-    R_u, free = do.assemble_R_u(basis, J_u=3)
+    R_u, free, modes = do.assemble_R_u(basis, J_u=3)
     assert R_u.shape == (2 * grid.num_fine_nodes,
                          3 * grid.num_coarse_vertices)
     assert free.sum() == 3 * len(grid.interior_coarse_vertices())

@@ -10,6 +10,7 @@ from msbiot.medium import build_medium
 from msbiot import fine_fem as ff
 from msbiot import time_integrator as ti
 from msbiot import ms_system as ms
+from msbiot import cli
 
 import oracles
 
@@ -95,7 +96,8 @@ def test_downscale_roundtrip(setup, space):
 def test_solve_multiscale_runs_and_histories(setup, space):
     ops, p0, load = setup[4], setup[5], setup[6]
     cfg = ti.SchemeConfig(T=1.0, J_t=3)
-    traj_c, traj_f = ms.solve_multiscale(ops, space, cfg, load, p0)
+    traj_c, traj_f = ms.solve_multiscale(ms.project_operators(ops, space),
+                                         space, cfg, load, p0)
     assert len(traj_c.states) == len(traj_f.states) == 4
     down = ms.downscale(space, traj_c.final)
     assert np.array_equal(down.p, traj_f.final.p)
@@ -108,7 +110,8 @@ def test_local_conservation(model, scheme):
     grid, med, bspec, spaces, ops, p0, load = _setup(model=model)
     space = ms.build_multiscale_space(grid, med, bspec, J_u=6, J_g=2)
     cfg = ti.SchemeConfig(scheme, T=1.0, J_t=4)
-    _, traj_f = ms.solve_multiscale(ops, space, cfg, load, p0)
+    _, traj_f = ms.solve_multiscale(ms.project_operators(ops, space), space,
+                                    cfg, load, p0)
     max_res, res = ms.conservation_report(ops, space.R_p, traj_f, load,
                                           cfg.tau, scheme)
     assert res.shape == (4, grid.num_coarse_cells)
@@ -121,7 +124,8 @@ def test_fine_space_is_not_conservative_on_coarse_cells(setup):
     grid, med, bspec, spaces, ops, p0, load = setup
     space = ms.build_multiscale_space(grid, med, bspec, J_u=6, J_g=2)
     cfg = ti.SchemeConfig(T=1.0, J_t=2)
-    _, traj_f = ms.solve_multiscale(ops, space, cfg, load, p0)
+    _, traj_f = ms.solve_multiscale(ms.project_operators(ops, space), space,
+                                    cfg, load, p0)
     traj_f.states[-1].p = traj_f.states[-1].p + 0.01
     max_res, _ = ms.conservation_report(ops, space.R_p, traj_f, load,
                                         cfg.tau)
@@ -163,7 +167,8 @@ def test_dense_fallback_warns(setup):
                                         spaces.free_g, load, p0)) == 0
         for J_u, J_g, fires, space in cases:
             n = fallbacks(
-                lambda: ms.solve_multiscale(ops, space, cfg, load, p0))
+                lambda: ms.solve_multiscale(
+                    ms.project_operators(ops, space), space, cfg, load, p0))
             assert (n > 0) == fires, (scheme, J_u, J_g, n)
 
 
@@ -215,7 +220,8 @@ def test_coarse_fully_coupled_factors_by_blocks(setup, space, monkeypatch):
     monkeypatch.setattr(ti.spla, "splu", counted_splu)
     monkeypatch.setattr(ti.sla, "cho_factor", counted_cho_factor)
     cfg = ti.SchemeConfig("fully_coupled", T=1.0, J_t=2)
-    ms.solve_multiscale(ops, space, cfg, load, p0)
+    ms.solve_multiscale(ms.project_operators(ops, space), space, cfg, load,
+                        p0)
     assert splu_shapes == []
     assert sorted(cholesky_sizes) == sorted([
         space.free_u.sum(), space.free_g.sum(), grid.num_coarse_cells])
@@ -232,7 +238,8 @@ def test_full_retention_not_worse(setup):
     ref = fine_traj.final
 
     def err(space):
-        _, traj_f = ms.solve_multiscale(ops, space, cfg, load, p0)
+        _, traj_f = ms.solve_multiscale(ms.project_operators(ops, space),
+                                        space, cfg, load, p0)
         s = traj_f.final
         return (np.linalg.norm(s.u - ref.u), np.linalg.norm(s.p - ref.p),
                 np.linalg.norm(s.g - ref.g))
@@ -242,3 +249,24 @@ def test_full_retention_not_worse(setup):
     small = ms.build_multiscale_space(grid, med, bspec, J_u=4, J_g=1)
     e_small = err(small)
     assert all(f <= s + 1e-8 for f, s in zip(e_full, e_small))
+
+
+def test_pipeline_projects_each_half_once_per_widening(monkeypatch):
+    # the benchmark's sweep points in order, on a pipeline configured as
+    # `msbiot sweep` configures it: the displacement half is projected
+    # once, with every basis mode, and the velocity half again only when
+    # J_g grows past the configured 2
+    halves = []
+    project = ms.project_operators
+
+    def counted(fine_ops, space, *coarse):
+        halves.append("g" if coarse else "ug")
+        return project(fine_ops, space, *coarse)
+
+    monkeypatch.setattr(ms, "project_operators", counted)
+    p = cli.Pipeline(cli.ScenarioConfig(
+        model="model2", scheme="fully_coupled", spectral_problem=2, N=4,
+        n=16, J_u=20, J_t=2, contrast=100.0))
+    for J_u, J_g in ((4, 2), (12, 2), (20, 2), (20, 1), (20, 3)):
+        p.solve_point(J_u=J_u, J_g=J_g)
+    assert halves == ["ug", "g"]

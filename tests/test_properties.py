@@ -1,4 +1,5 @@
-"""Invariants of the offline bases over random small cases.
+"""Invariants of the offline bases and of the coarse system over random
+small cases.
 
 Each case draws the coarse grid N, the fine cells per coarse block m,
 the contrast and the seed of a binary high-contrast field.  The draws
@@ -6,6 +7,7 @@ are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from msbiot.grid import build_hierarchy, Neighborhood
@@ -13,6 +15,9 @@ from msbiot.medium import build_medium
 from msbiot import fine_fem as ff
 from msbiot import velocity_offline as vo
 from msbiot import displacement_offline as do
+from msbiot import ms_system
+from msbiot import time_integrator as ti
+from msbiot.cli import Pipeline, ScenarioConfig
 
 cases = given(N=st.integers(2, 4), m=st.integers(1, 4),
               contrast=st.sampled_from([1.0, 1e2, 1e4]),
@@ -103,3 +108,35 @@ def test_patches_number_their_entities_locally(N, m):
     for c in range(grid.num_coarse_cells):
         assert np.array_equal(grid.fine_cells_of_coarse_cell(c),
                               np.flatnonzero(cc == c))
+
+
+@pytest.mark.parametrize("model", ["model1", "model2"])
+@pytest.mark.parametrize("scheme", ["fixed_stress", "fully_coupled"])
+@small
+@given(N=st.integers(2, 3), m=st.integers(2, 4),
+       contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
+       field=st.sampled_from(["blobs", "channels"]), J_u=st.integers(1, 6),
+       more=st.integers(1, 4), jg=st.integers(0, 2))
+def test_masked_point_is_bitwise_its_own_projection(
+        model, scheme, N, m, contrast, seed, field, J_u, more, jg):
+    J_g = 1 + jg % (m - 1)
+    cfg = ScenarioConfig(model=model, scheme=scheme, N=N, n=N * m,
+                         J_u=J_u + more, J_g=1, J_t=2, field=field,
+                         contrast=contrast, seed=seed)
+    # a pipeline whose coarse system was projected at a larger point
+    warm = Pipeline(cfg)
+    warm.solve_point(J_u=J_u + more, J_g=m)
+    got = warm.solve_point(J_u=J_u, J_g=J_g)[2].final
+    fresh = Pipeline(cfg)
+    want = [fresh.solve_point(J_u=J_u, J_g=J_g)[2].final]
+    # and the projection at the point's own J_u and J_g, on the same bases
+    space = ms_system.build_multiscale_space(
+        fresh.grid, fresh.med, fresh.bspec, J_u, J_g,
+        dbasis=fresh.displacement_basis(J_u), vbasis=fresh.velocity_basis())
+    _, traj = ms_system.solve_multiscale(
+        ms_system.project_operators(fresh.ops, space), space,
+        ti.SchemeConfig(scheme, cfg.T, cfg.J_t), fresh.load, fresh.p0)
+    want.append(traj.final)
+    for ref in want:
+        for k in "ugp":
+            assert np.array_equal(getattr(got, k), getattr(ref, k))

@@ -127,15 +127,15 @@ def test_assemble_R_g_shapes_and_masks():
     grid, med = _grid_med(N=2, n=8)
     basis = vo.VelocityOfflineBasis(grid, med)
     J_v = 2
-    R_g, free = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), J_v)
+    R_g, free, modes = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), J_v)
     assert R_g.shape == (grid.num_fine_edges, J_v * grid.num_coarse_edges)
     # model 1: columns of boundary coarse edges are masked
     nbound = sum(grid.coarse_edge_is_boundary(i)
                  for i in range(grid.num_coarse_edges))
     assert (~free).sum() == J_v * nbound
     # model 2: every column free
-    _, free2 = vo.assemble_R_g(basis, ff.BoundarySpec.model2(), J_v)
+    _, free2, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model2(), J_v)
     assert free2.all()
     # full retention
-    R_full, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), None)
+    R_full, _, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), None)
     assert R_full.shape[1] == grid.m * grid.num_coarse_edges
