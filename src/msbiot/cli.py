@@ -8,7 +8,7 @@ a conservation summary, and a frozen copy of the resolved config.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class ScenarioConfig:
             if getattr(self, key) not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}"
                                  f", got {getattr(self, key)!r}")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
         if self.spectral_problem not in (1, 2):
             raise ValueError("spectral_problem must be 1 or 2")
         if self.N < 2 or self.n % self.N != 0:
@@ -64,18 +62,22 @@ class ScenarioConfig:
             if not 1 <= getattr(self, key) <= top:
                 raise ValueError(f"{key} must lie in [1, {top}] at "
                                  f"n/N={m}, got {getattr(self, key)}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not self.contrast >= 1:
-            raise ValueError(f"contrast must be >= 1, got {self.contrast}")
-        if not -1.0 < self.eta < 0.5:
-            raise ValueError(f"eta must lie in (-1, 1/2), got {self.eta}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        # written so that NaN fails every comparison
+        for key, ok, rule in (
+                ("T", 0 < self.T < np.inf, "must be finite and > 0"),
+                ("nu", 0 < self.nu < np.inf, "must be finite and > 0"),
+                ("contrast", 1 <= self.contrast < np.inf,
+                 "must be finite and >= 1"),
+                ("seed", self.seed >= 0, "must be >= 0"),
+                ("eta", -1.0 < self.eta < 0.5, "must lie in (-1, 1/2)"),
+                ("alpha", 0.0 < self.alpha <= 1.0, "must lie in (0, 1]")):
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(self, key)}")
 
 
-_INT_KEYS = {"N", "n", "J_u", "J_g", "J_t", "spectral_problem", "seed"}
-_FLOAT_KEYS = {"T", "contrast", "eta", "alpha", "nu"}
+# each key's type (int, float or str), read off its default
+_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+_NUMERIC_KEYS = sorted(k for k, t in _TYPES.items() if t is not str)
 
 
 def parse_config_file(path):
@@ -94,14 +96,6 @@ def parse_config_file(path):
     return out
 
 
-def _coerce(key, val):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    return val
-
-
 def _given(**kwargs):
     """The keyword arguments that are not None."""
     return {k: v for k, v in kwargs.items() if v is not None}
@@ -116,7 +110,7 @@ def config_from_sources(file_path=None, overrides=None):
             if k not in ScenarioConfig.__dataclass_fields__:
                 raise ValueError(f"{where}: unknown key {k!r}")
             try:
-                kwargs[k] = _coerce(k, v)
+                kwargs[k] = _TYPES[k](v)
             except ValueError:
                 raise ValueError(f"{where}: {k} takes a number, "
                                  f"got {v!r}") from None
@@ -352,12 +346,8 @@ def run_sweep(cfg: ScenarioConfig, key, values):
 
 def _add_common(p):
     p.add_argument("--config", help="flat key=value config file")
-    for key in ("model", "scheme", "field", "outdir", "velocity_weight"):
-        p.add_argument(f"--{key}")
-    for key in sorted(_INT_KEYS):
-        p.add_argument(f"--{key}", type=int)
-    for key in sorted(_FLOAT_KEYS):
-        p.add_argument(f"--{key}", type=float)
+    for key, typ in _TYPES.items():
+        p.add_argument(f"--{key}", type=typ)
 
 
 def main(argv=None):
@@ -392,12 +382,11 @@ def main(argv=None):
         return 0 if ok else 1
 
     key, _, vals = args.vary.partition("=")
-    if key not in _INT_KEYS | _FLOAT_KEYS or not vals:
+    if key not in _NUMERIC_KEYS or not vals:
         parser.error(f"--vary expects key=v1,v2,... with a numeric key, one "
-                     f"of {', '.join(sorted(_INT_KEYS | _FLOAT_KEYS))}; got "
-                     f"{args.vary!r}")
+                     f"of {', '.join(_NUMERIC_KEYS)}; got {args.vary!r}")
     try:
-        values = [_coerce(key, v) for v in vals.split(",")]
+        values = [_TYPES[key](v) for v in vals.split(",")]
     except ValueError:
         parser.error(f"--vary: {key} takes numbers, got {vals!r}")
     for v, report, max_res in run_sweep(cfg, key, values):

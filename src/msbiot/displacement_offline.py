@@ -82,7 +82,6 @@ def build_pou(grid, med):
            for j in range(grid.num_coarse_vertices)]
     pou = [(np.zeros((len(nb.fine_nodes), 2)),
             np.zeros((len(nb.fine_nodes), 2))) for nb in nbs]
-    N = grid.N
     for c in range(grid.num_coarse_cells):
         block = Neighborhood([c], grid)
         nodes = block.fine_nodes
@@ -95,8 +94,7 @@ def build_pou(grid, med):
         bb = np.flatnonzero(bnd_dofs)
 
         # columns 2k and 2k+1: corner k's hat in the x and y component
-        sw = (c // N) * (N + 1) + c % N
-        corners = (sw, sw + 1, sw + N + 1, sw + N + 2)
+        corners = grid.coarse_cell_nodes[c]
         xy = grid.fine_node_xy(nodes[on_bnd])
         sol = np.zeros((2 * len(nodes), 8))
         for k, j in enumerate(corners):

@@ -9,6 +9,14 @@ Fine edge numbering: all vertical edges first (index iy*(n+1) + ix for
 ix in 0..n, iy in 0..n-1), then all horizontal edges with offset
 (n+1)*n (index iy*n + ix for ix in 0..n-1, iy in 0..n).  Coarse edges
 follow the same scheme with N in place of n.
+
+Incidence is stated once: ``_cell_maps(k)`` gives each cell's edges and
+nodes on a k x k grid, for the fine grid (k = n) and the coarse one
+(k = N).  Every other incidence fact is read off a map.  An edge
+is interior when two cells list it and a node when four do; the cells
+of a vertex or edge neighborhood are those whose coarse map lists it;
+``edge_cells(mesh)`` gives the cells on the two sides of every edge of
+the fine grid or of a ``Neighborhood``, in that mesh's numbering.
 """
 
 import numpy as np
@@ -43,34 +51,17 @@ class GridHierarchy:
         self.num_coarse_vedges = (N + 1) * N
         self.num_coarse_edges = 2 * N * (N + 1)
 
-        self._build_maps()
-
-    def _build_maps(self):
-        n, N, m = self.n, self.N, self.m
-
-        # coarse cell owning each fine cell
-        ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-        self.coarse_cell_of_fine_cell = ((iy // m) * N + (ix // m)).ravel()
-
-        # per-cell edge indices, order (left, right, bottom, top)
-        off = self.num_fine_vedges
-        left = iy * (n + 1) + ix
-        right = left + 1
-        bottom = off + iy * n + ix
-        top = off + (iy + 1) * n + ix
-        self.cell_edges = np.stack(
-            [left.ravel(), right.ravel(), bottom.ravel(), top.ravel()], axis=1)
-
-        # per-cell node indices, order (SW, SE, NW, NE)
-        sw = iy * (n + 1) + ix
-        self.cell_nodes = np.stack(
-            [sw.ravel(), sw.ravel() + 1, sw.ravel() + n + 1, sw.ravel() + n + 2],
-            axis=1)
-
-        # orientation of every fine edge
-        self.fine_edge_orientation = np.concatenate([
-            np.full(self.num_fine_vedges, VERTICAL, dtype=np.int8),
-            np.full(n * (n + 1), HORIZONTAL, dtype=np.int8)])
+        # coarse cell owning each fine cell, and its inverse: each coarse
+        # cell's fine cells, ascending
+        iy, ix = np.divmod(np.arange(n * n), n)
+        self.coarse_cell_of_fine_cell = (iy // self.m) * N + ix // self.m
+        self._fine_cells_of = np.argsort(self.coarse_cell_of_fine_cell,
+                                         kind="stable").reshape(N * N, -1)
+        self.cell_edges, self.cell_nodes = _cell_maps(n)
+        self.coarse_cell_edges, self.coarse_cell_nodes = _cell_maps(N)
+        # an edge is interior when two cells list it, a node when four do
+        self._interior_coarse_edge = _listed(self.coarse_cell_edges, 2)
+        self._interior_coarse_vertex = _listed(self.coarse_cell_nodes, 4)
 
     # ---- index helpers -------------------------------------------------
 
@@ -90,23 +81,9 @@ class GridHierarchy:
         return np.stack([(j % (self.N + 1)) * self.H,
                          (j // (self.N + 1)) * self.H], axis=-1)
 
-    def fine_edge_cells(self, e):
-        """Cells on the two sides of fine edge e, (before, after) along
-        its normal; None on a side outside the domain."""
-        n = self.n
-        if e < self.num_fine_vedges:
-            iy, ix = divmod(e, n + 1)
-            return (iy * n + ix - 1 if ix > 0 else None,
-                    iy * n + ix if ix < n else None)
-        iy, ix = divmod(e - self.num_fine_vedges, n)
-        return ((iy - 1) * n + ix if iy > 0 else None,
-                iy * n + ix if iy < n else None)
-
     def coarse_edge_components(self, i):
         """Return (orientation, IX, IY) of coarse edge i."""
-        if not 0 <= i < self.num_coarse_edges:
-            raise IndexError(f"coarse edge index {i} out of range")
-        N = self.N
+        i, N = _checked(i, self.num_coarse_edges, "coarse edge"), self.N
         if i < self.num_coarse_vedges:
             return VERTICAL, i % (N + 1), i // (N + 1)
         k = i - self.num_coarse_vedges
@@ -123,78 +100,48 @@ class GridHierarchy:
         return self.num_fine_vedges + (IY * m) * n + ixs
 
     def coarse_edge_is_boundary(self, i):
-        orient, IX, IY = self.coarse_edge_components(i)
-        if orient == VERTICAL:
-            return IX == 0 or IX == self.N
-        return IY == 0 or IY == self.N
+        return not self._interior_coarse_edge[
+            _checked(i, self.num_coarse_edges, "coarse edge")]
 
     def interior_coarse_edges(self):
-        return np.array([i for i in range(self.num_coarse_edges)
-                         if not self.coarse_edge_is_boundary(i)])
+        return np.flatnonzero(self._interior_coarse_edge)
 
     def coarse_vertex_is_boundary(self, j):
-        VX, VY = j % (self.N + 1), j // (self.N + 1)
-        return VX == 0 or VX == self.N or VY == 0 or VY == self.N
+        return not self._interior_coarse_vertex[
+            _checked(j, self.num_coarse_vertices, "coarse vertex")]
 
     def interior_coarse_vertices(self):
-        return np.array([j for j in range(self.num_coarse_vertices)
-                         if not self.coarse_vertex_is_boundary(j)])
+        return np.flatnonzero(self._interior_coarse_vertex)
 
     def fine_cells_of_coarse_cell(self, c):
         """Fine cells of coarse cell c, ascending."""
-        if not 0 <= c < self.num_coarse_cells:
-            raise IndexError(f"coarse cell index {c} out of range")
-        m = self.m
-        CY, CX = divmod(c, self.N)
-        iy = np.arange(CY * m, (CY + 1) * m)[:, None]
-        ix = np.arange(CX * m, (CX + 1) * m)
-        return (iy * self.n + ix).ravel()
+        return self._fine_cells_of[
+            _checked(c, self.num_coarse_cells, "coarse cell")].copy()
 
     # ---- neighborhoods -------------------------------------------------
 
     def vertex_neighborhood(self, j):
         """Union of coarse cells sharing coarse vertex j."""
-        if not 0 <= j < self.num_coarse_vertices:
-            raise IndexError(f"coarse vertex index {j} out of range")
-        N = self.N
-        VY, VX = divmod(j, N + 1)
-        return Neighborhood([CY * N + CX for CY in (VY - 1, VY)
-                             for CX in (VX - 1, VX)
-                             if 0 <= CX < N and 0 <= CY < N], self)
+        j = _checked(j, self.num_coarse_vertices, "coarse vertex")
+        return Neighborhood(_cells_listing(self.coarse_cell_nodes, j), self)
 
     def edge_neighborhood(self, i):
         """Union of the coarse cells adjacent to coarse edge i."""
-        orient, IX, IY = self.coarse_edge_components(i)
-        N = self.N
-        if orient == VERTICAL:
-            members = [IY * N + CX for CX in (IX - 1, IX) if 0 <= CX < N]
-        else:
-            members = [CY * N + IX for CY in (IY - 1, IY) if 0 <= CY < N]
-        return Neighborhood(members, self)
+        i = _checked(i, self.num_coarse_edges, "coarse edge")
+        return Neighborhood(_cells_listing(self.coarse_cell_edges, i), self)
 
     # ---- boundary ------------------------------------------------------
 
     def boundary_fine_nodes(self):
-        n = self.n
-        idx = np.arange(self.num_fine_nodes)
-        ix, iy = idx % (n + 1), idx // (n + 1)
-        return idx[(ix == 0) | (ix == n) | (iy == 0) | (iy == n)]
+        return np.flatnonzero(~_listed(self.cell_nodes, 4))
 
     def boundary_fine_edges(self, sides=("left", "right", "bottom", "top")):
-        """Fine edges lying on the requested sides of the unit square."""
-        n = self.n
-        out = []
-        if "left" in sides:
-            out.append(np.arange(n) * (n + 1))
-        if "right" in sides:
-            out.append(np.arange(n) * (n + 1) + n)
-        if "bottom" in sides:
-            out.append(self.num_fine_vedges + np.arange(n))
-        if "top" in sides:
-            out.append(self.num_fine_vedges + n * n + np.arange(n))
-        if not out:
-            return np.array([], dtype=int)
-        return np.sort(np.concatenate(out))
+        """Fine edges lying on the requested sides of the unit square:
+        the cells' left (right, ...) edges that no other cell lists."""
+        cols = [k for k, side in enumerate(("left", "right", "bottom", "top"))
+                if side in sides]
+        edges = self.cell_edges[:, cols].ravel()
+        return np.sort(edges[_listed(self.cell_edges, 1)[edges]])
 
 
 class Neighborhood:
@@ -231,6 +178,46 @@ class Neighborhood:
 
     def local_edges(self, global_idx):
         return _local(self.fine_edges, global_idx, "fine edge")
+
+
+def _cell_maps(k):
+    """Each cell's edges (left, right, bottom, top) and nodes (SW, SE,
+    NW, NE) on the k x k grid."""
+    iy, ix = np.divmod(np.arange(k * k), k)
+    sw = iy * (k + 1) + ix                  # also the left edge
+    bottom = (k + 1) * k + iy * k + ix
+    return (np.stack([sw, sw + 1, bottom, bottom + k], axis=1),
+            np.stack([sw, sw + 1, sw + k + 1, sw + k + 2], axis=1))
+
+
+def _listed(cell_map, count):
+    """Mask of the entities that count cells of the map list."""
+    return np.bincount(cell_map.ravel()) == count
+
+
+def _cells_listing(cell_map, idx):
+    """The cells whose map lists entity idx, ascending."""
+    return np.flatnonzero((cell_map == idx).any(axis=1))
+
+
+def _checked(idx, count, what):
+    if not 0 <= idx < count:
+        raise IndexError(f"{what} index {idx} out of range")
+    return idx
+
+
+def edge_cells(mesh):
+    """The cell before and the cell after each edge of mesh, along the
+    edge's normal, in the mesh's own numbering; -1 where there is none.
+
+    An edge is the right or top side of the cell before it and the left
+    or bottom side of the cell after it.
+    """
+    out = np.full((mesh.num_fine_edges, 2), -1)
+    cells = np.arange(mesh.num_fine_cells)[:, None]
+    out[mesh.cell_edges[:, [1, 3]], 0] = cells
+    out[mesh.cell_edges[:, [0, 2]], 1] = cells
+    return out
 
 
 def _local(sorted_globals, global_idx, what):

@@ -67,16 +67,20 @@ def load_field(path, positive=True):
     """Read a per-cell scalar field; returns a flat row-major array."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
         try:
-            rows, cols = int(header[0]), int(header[1])
+            # a header of other than two tokens fails the unpacking
+            rows, cols = map(int, header)
         except ValueError:
             raise ValueError(f"{path}: malformed header {header!r}") from None
-        values = np.fromstring(fh.read(), sep=" ")
+        try:
+            values = np.fromstring(fh.read(), sep=" ")
+        except ValueError:
+            raise ValueError(f"{path}: values must be numbers") from None
     if values.size != rows * cols:
         raise ValueError(
             f"{path}: expected {rows * cols} values, found {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: field must be finite")
     if positive and np.any(values <= 0):
         raise ValueError(f"{path}: field must be strictly positive")
     return values

@@ -36,8 +36,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("fixed_stress", "fully_coupled"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.J_t < 1 or self.T <= 0:
-            raise ValueError("need J_t >= 1 and T > 0")
+        if self.J_t < 1 or not 0 < self.T < np.inf:
+            raise ValueError("need J_t >= 1 and a finite T > 0")
 
     @property
     def tau(self):

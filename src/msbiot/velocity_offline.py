@@ -16,17 +16,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fine_fem
-from .grid import Neighborhood
+from .grid import Neighborhood, edge_cells
+
+# sign of each block side's fixed normal (left, right, bottom, top)
+# against the block's outward normal
+_SIDE_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 
 
-def edge_kappa(grid, med, fine_edges):
-    """Harmonic mean of kappa across each fine edge (one-sided on the
-    domain boundary)."""
-    out = np.empty(len(fine_edges), dtype=float)
-    for k, e in enumerate(fine_edges):
-        vals = med.kappa[[c for c in grid.fine_edge_cells(e) if c is not None]]
-        out[k] = len(vals) / np.sum(1.0 / vals)
-    return out
+def edge_kappa(mesh, kappa, edges):
+    """Harmonic mean of kappa (one value per mesh cell) across each of
+    the mesh's edges; one-sided where the mesh has a cell on one side."""
+    sides = edge_cells(mesh)[edges]
+    # a missing side's term is exactly 0.0
+    inv = np.append(1.0 / kappa, 0.0)[sides]
+    return (sides >= 0).sum(axis=1) / (inv[:, 0] + inv[:, 1])
 
 
 class EdgeSnapshots:
@@ -49,17 +52,14 @@ class EdgeSnapshots:
         self.pressures = np.zeros((len(nb.fine_cells), l))
         self.alphas = np.zeros((len(nb.members), l))
 
-    def pressure_jumps(self, grid):
-        """Jump of each snapshot pressure across every fine edge of the
-        coarse edge; single-sided trace on a boundary edge."""
-        nb = self.nb
-        jumps = np.zeros((len(self.fine_edges_on), self.vel.shape[1]))
-        cc = grid.coarse_cell_of_fine_cell
-        for k, e in enumerate(self.fine_edges_on):
-            for cell, s in zip(grid.fine_edge_cells(e), (1.0, -1.0)):
-                if cell is not None and cc[cell] in nb.members:
-                    jumps[k] += s * self.pressures[nb.local_cells(cell), :]
-        return jumps
+    def pressure_jumps(self):
+        """Jump (before minus after) of each snapshot pressure across
+        every fine edge of the coarse edge; single-sided trace on a
+        boundary edge."""
+        sides = edge_cells(self.nb)[self.nb.local_edges(self.fine_edges_on)]
+        # row -1 is the exactly-zero pressure of a missing side
+        p = np.vstack([self.pressures, np.zeros(self.vel.shape[1])])
+        return p[sides[:, 0]] - p[sides[:, 1]]
 
 
 def build_snapshot_space(grid, med):
@@ -72,7 +72,7 @@ def build_snapshot_space(grid, med):
     every fine edge of its four sides.
     """
     snaps = [EdgeSnapshots(grid, i) for i in range(grid.num_coarse_edges)]
-    N, m, h = grid.N, grid.m, grid.h
+    m, h = grid.m, grid.h
     alpha = h / (m * h) ** 2             # |alpha| = h * N^2
     weight = med.nu / med.kappa
     for c in range(grid.num_coarse_cells):
@@ -90,25 +90,20 @@ def build_snapshot_space(grid, med):
             [Kb[ii].T, None, w],
             [None, w.T, None]], format="csc"))
 
-        # the block's sides (left, right, bottom, top) and the sign of
-        # their fixed normal against the block's outward normal
-        west = (c // N) * (N + 1) + c % N
-        south = grid.num_coarse_vedges + c
-        sides = ((west, -1.0), (west + 1, 1.0),
-                 (south, -1.0), (south + N, 1.0))
         # one column per fine edge of each side: unit flux through it,
         # no flux through the rest of the block boundary
+        sides = grid.coarse_cell_edges[c]
         g_B = np.zeros((len(bb), 4 * m))
-        for k, (i, _) in enumerate(sides):
+        for k, i in enumerate(sides):
             g_B[np.searchsorted(edges[bb], grid.fine_edges_on(i)),
                 k * m + np.arange(m)] = 1.0
-        alphas = alpha * np.repeat([sign for _, sign in sides], m)
+        alphas = alpha * np.repeat(_SIDE_SIGNS, m)
         sol = lu.solve(np.vstack([
             -(Jb[ii][:, bb] @ g_B),
             alphas * h ** 2 - Kb[bb].T @ g_B,
             np.zeros((1, 4 * m))]))
 
-        for k, (i, sign) in enumerate(sides):
+        for k, (i, sign) in enumerate(zip(sides, _SIDE_SIGNS)):
             snap = snaps[i]
             cols = sol[:, k * m:(k + 1) * m]
             snap.vel[snap.nb.local_edges(edges[ii])] = cols[:len(ii)]
@@ -132,7 +127,7 @@ def spectral_reduce_1(grid, med, snap: EdgeSnapshots):
     S = snap.vel
     nb = snap.nb
     loc_E = nb.local_edges(snap.fine_edges_on)
-    kap_e = edge_kappa(grid, med, snap.fine_edges_on)
+    kap_e = edge_kappa(nb, med.kappa[nb.fine_cells], loc_E)
     # snapshot normal traces on the coarse edge are the identity, so the
     # edge form is diagonal in the snapshot coordinates
     flux = S[loc_E, :]
@@ -149,7 +144,7 @@ def spectral_reduce_2(grid, med, snap: EdgeSnapshots):
     nb = snap.nb
     Jk = fine_fem.assemble_velocity_mass(nb, 1.0 / med.kappa[nb.fine_cells])
     a_mat = S.T @ (Jk @ S)
-    jumps = snap.pressure_jumps(grid)
+    jumps = snap.pressure_jumps()
     s_mat = grid.h * jumps.T @ jumps
     return _edge_eigh(snap, a_mat, s_mat, allow_shift=True)
 

@@ -33,7 +33,12 @@ def test_config_defaults_and_validation():
                      ({"eta": -1.0}, "eta"), ({"scheme": "foo"}, "scheme"),
                      ({"velocity_weight": "foo"}, "velocity_weight"),
                      ({"alpha": -3.0}, "alpha"), ({"alpha": 0.0}, "alpha"),
-                     ({"alpha": 1.5}, "alpha")):
+                     ({"alpha": 1.5}, "alpha"), ({"T": np.nan}, "T"),
+                     ({"T": np.inf}, "T"), ({"nu": np.nan}, "nu"),
+                     ({"nu": np.inf}, "nu"),
+                     ({"contrast": np.nan}, "contrast"),
+                     ({"contrast": np.inf}, "contrast"),
+                     ({"seed": -1}, "seed")):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             cli.ScenarioConfig(**bad)
     assert cli.ScenarioConfig(alpha=1.0, velocity_weight="energy").alpha == 1.0
@@ -203,8 +208,9 @@ def test_main_config_file(tmp_path, capsys):
     (None, ("{path}",)),
     ("J_u = 0\n", ("J_u",)),
     ("scheme = foo\n", ("scheme", "'foo'")),
+    ("T = nan\n", ("T",)),
 ], ids=["non-numeric", "unknown-key", "missing-file", "out-of-range",
-        "unknown-choice"])
+        "unknown-choice", "non-finite"])
 def test_main_config_errors_name_the_input(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.txt"
     if text is not None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msbiot.grid import build_hierarchy, VERTICAL, HORIZONTAL
+from msbiot.grid import build_hierarchy, VERTICAL
 
 import oracles
 
@@ -40,14 +40,16 @@ def test_block_size_example():
 
 
 def test_cell_entities_match_oracle():
-    g = build_hierarchy(2, 6)
-    n = g.n
-    for iy in range(n):
-        for ix in range(n):
-            c = oracles.cell_index(n, ix, iy)
-            nodes, edges = oracles.cell_entities(n, ix, iy)
-            assert list(g.cell_nodes[c]) == nodes
-            assert list(g.cell_edges[c]) == edges
+    g = build_hierarchy(3, 6)
+    for k, cell_nodes, cell_edges in (
+            (g.n, g.cell_nodes, g.cell_edges),
+            (g.N, g.coarse_cell_nodes, g.coarse_cell_edges)):
+        for iy in range(k):
+            for ix in range(k):
+                c = oracles.cell_index(k, ix, iy)
+                nodes, edges = oracles.cell_entities(k, ix, iy)
+                assert list(cell_nodes[c]) == nodes
+                assert list(cell_edges[c]) == edges
 
 
 def test_coordinates():
@@ -58,19 +60,13 @@ def test_coordinates():
     assert np.allclose(g.coarse_vertex_xy(4), [0.5, 0.5])
 
 
-def test_edge_orientation_split():
-    g = build_hierarchy(2, 4)
-    assert np.all(g.fine_edge_orientation[:g.num_fine_vedges] == VERTICAL)
-    assert np.all(g.fine_edge_orientation[g.num_fine_vedges:] == HORIZONTAL)
-
-
 def test_fine_edges_on_coarse_edge():
     g = build_hierarchy(2, 8)
     for i in range(g.num_coarse_edges):
         fe = g.fine_edges_on(i)
         assert len(fe) == g.m
         orient, _, _ = g.coarse_edge_components(i)
-        assert np.all(g.fine_edge_orientation[fe] == orient)
+        assert np.all((fe < g.num_fine_vedges) == (orient == VERTICAL))
         # edges are geometrically collinear along the coarse edge
         if orient == VERTICAL:
             assert len(set(fe % (g.n + 1))) == 1

@@ -1,5 +1,7 @@
 """Material data, Lame derivation, field I/O, and generator tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,12 @@ def test_load_field_rejects_malformed(tmp_path):
     zero.write_text("1 2\n1.0 0.0\n")
     with pytest.raises(ValueError):
         load_field(zero)
+    # a non-finite or non-numeric entry is rejected, naming the file
+    for name, entry in (("nan", "nan"), ("inf", "inf"), ("word", "abc")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"2 2\n1.0 {entry} 3.0 4.0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_field(path)
 
 
 def test_generator_binary_and_deterministic():

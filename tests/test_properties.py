@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from msbiot.grid import build_hierarchy, Neighborhood
+from msbiot.grid import build_hierarchy, Neighborhood, edge_cells
 from msbiot.medium import build_medium
 from msbiot import fine_fem as ff
 from msbiot import velocity_offline as vo
@@ -98,6 +98,7 @@ def test_patches_number_their_entities_locally(N, m):
                   for i in range(grid.num_coarse_edges)]
                + [Neighborhood([c], grid)
                   for c in range(grid.num_coarse_cells)])
+    sides = edge_cells(grid)
     for nb in patches:
         assert np.array_equal(nb.fine_cells,
                               np.flatnonzero(np.isin(cc, nb.members)))
@@ -105,6 +106,28 @@ def test_patches_number_their_entities_locally(N, m):
                               grid.cell_nodes[nb.fine_cells])
         assert np.array_equal(nb.fine_edges[nb.cell_edges],
                               grid.cell_edges[nb.fine_cells])
+        # a patch's edge sides are the grid's, with cells outside it -1
+        local = edge_cells(nb)
+        want = sides[nb.fine_edges]
+        want[~np.isin(want, nb.fine_cells)] = -1
+        assert np.array_equal(
+            np.where(local >= 0, nb.fine_cells[local], -1), want)
+    # each side's cell center lies h/2 behind or ahead of the edge
+    # midpoint along the edge's normal; only boundary edges miss a side
+    n, h = grid.n, grid.h
+    e = np.arange(grid.num_fine_edges)
+    vert = (e < grid.num_fine_vedges)[:, None]
+    iy, ix = np.divmod(np.where(vert[:, 0], e, e - grid.num_fine_vedges),
+                       np.where(vert[:, 0], n + 1, n))
+    mid = h * np.where(vert, np.stack([ix, iy + 0.5], axis=1),
+                       np.stack([ix + 0.5, iy], axis=1))
+    normal = np.where(vert, [1.0, 0.0], [0.0, 1.0])
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        has = sides[:, side] >= 0
+        assert np.allclose(grid.fine_cell_center(sides[has, side]),
+                           mid[has] + sign * 0.5 * h * normal[has])
+    assert np.array_equal(np.flatnonzero((sides < 0).any(axis=1)),
+                          grid.boundary_fine_edges())
     for c in range(grid.num_coarse_cells):
         assert np.array_equal(grid.fine_cells_of_coarse_cell(c),
                               np.flatnonzero(cc == c))
@@ -126,16 +149,22 @@ def test_masked_point_is_bitwise_its_own_projection(
     # a pipeline whose coarse system was projected at a larger point
     warm = Pipeline(cfg)
     warm.solve_point(J_u=J_u + more, J_g=m)
-    got = warm.solve_point(J_u=J_u, J_g=J_g)[2].final
+    _, max_res, traj = warm.solve_point(J_u=J_u, J_g=J_g)
+    got = traj.final
+    # every solve conserves mass per coarse cell
+    assert max_res <= 1e-9 * (np.abs(warm.load).max() + 1.0)
     fresh = Pipeline(cfg)
     want = [fresh.solve_point(J_u=J_u, J_g=J_g)[2].final]
     # and the projection at the point's own J_u and J_g, on the same bases
     space = ms_system.build_multiscale_space(
         fresh.grid, fresh.med, fresh.bspec, J_u, J_g,
         dbasis=fresh.displacement_basis(J_u), vbasis=fresh.velocity_basis())
+    coarse = ms_system.project_operators(fresh.ops, space)
+    for M in (coarse.A, coarse.J, coarse.D):
+        assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
     _, traj = ms_system.solve_multiscale(
-        ms_system.project_operators(fresh.ops, space), space,
-        ti.SchemeConfig(scheme, cfg.T, cfg.J_t), fresh.load, fresh.p0)
+        coarse, space, ti.SchemeConfig(scheme, cfg.T, cfg.J_t), fresh.load,
+        fresh.p0)
     want.append(traj.final)
     for ref in want:
         for k in "ugp":

@@ -30,6 +30,9 @@ def test_scheme_config_validation():
         ti.SchemeConfig(scheme="verlet")
     with pytest.raises(ValueError):
         ti.SchemeConfig(J_t=0)
+    for T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ti.SchemeConfig(T=T)
     assert ti.SchemeConfig(T=2.0, J_t=8).tau == 0.25
 
 

@@ -21,20 +21,30 @@ def test_edge_kappa_harmonic_mean():
     kappa = np.array([1.0, 4.0, 2.0, 8.0])  # cells (0,0),(1,0),(0,1),(1,1)
     med = build_medium(kappa)
     # interior vertical edge between cells 0 and 1: edge index iy=0, ix=1
-    k = vo.edge_kappa(grid, med, [1])[0]
+    k = vo.edge_kappa(grid, med.kappa, [1])[0]
     assert np.isclose(k, 2.0 / (1.0 + 0.25))
     # boundary edge (left of cell 0): one-sided value
-    assert np.isclose(vo.edge_kappa(grid, med, [0])[0], 1.0)
+    assert np.isclose(vo.edge_kappa(grid, med.kappa, [0])[0], 1.0)
 
 
 def test_snapshot_prescribed_flux_bitwise():
     grid, med = _grid_med()
     snaps = vo.build_snapshot_space(grid, med)
+    n = grid.n
     for i in (grid.interior_coarse_edges()[0], 0):
         snap = snaps[i]
         loc_E = snap.nb.local_edges(snap.fine_edges_on)
         flux = snap.vel[loc_E, :]
         assert np.array_equal(flux, np.eye(len(snap.fine_edges_on)))
+        # pressure jumps across the vertical coarse edge: the cell left of
+        # each fine edge minus the cell right of it, a missing cell as 0
+        assert i < grid.num_coarse_vedges
+        p = np.zeros((grid.num_fine_cells + 1, flux.shape[1]))
+        p[snap.nb.fine_cells] = snap.pressures
+        iy, ix = np.divmod(snap.fine_edges_on, n + 1)
+        left = np.where(ix > 0, iy * n + ix - 1, -1)
+        right = np.where(ix < n, iy * n + ix, -1)
+        assert np.array_equal(snap.pressure_jumps(), p[left] - p[right])
 
 
 def test_snapshot_divergence_matches_block_alpha():
