@@ -144,8 +144,8 @@ def resolve_field(cfg: ScenarioConfig, ncells):
     if os.path.isfile(cfg.field):
         kappa = med_mod.load_field(cfg.field)
         if kappa.size != ncells:
-            raise ValueError(f"field file has {kappa.size} cells, "
-                             f"grid needs {ncells}")
+            raise ValueError(f"{cfg.field}: field file has {kappa.size} "
+                             f"cells, grid needs {ncells}")
         return kappa, os.path.basename(cfg.field)
     if os.sep in cfg.field or os.path.splitext(cfg.field)[1]:
         raise ValueError(f"field file not found: {cfg.field!r}")
@@ -180,6 +180,7 @@ class Pipeline:
         self._vbasis = None
         self._space = self._coarse = None
         self._space_J_g = 0
+        self._elasticity = ti.ElasticitySlot()
 
     def fine_reference(self, J_t=None):
         # ScenarioConfig's checks name a J_t out of range
@@ -239,7 +240,8 @@ class Pipeline:
         ms, coarse_ops = self._coarse_system(J_u, J_g)
         scheme_cfg = ti.SchemeConfig(cfg.scheme, cfg.T, J_t)
         _, traj_f = ms_system.solve_multiscale(coarse_ops, ms, scheme_cfg,
-                                               self.load, self.p0)
+                                               self.load, self.p0,
+                                               self._elasticity)
         fine = self.fine_reference(J_t)
         meta = {"N": cfg.N, "n": cfg.n, "Ju": J_u, "Jg": J_g, "Jt": J_t,
                 "scheme": cfg.scheme, "field": self.field_id}
@@ -350,6 +352,16 @@ def _add_common(p):
         p.add_argument(f"--{key}", type=typ)
 
 
+def _check_fields(parser, cfgs):
+    """Resolve each config's field as Pipeline will, so that a bad field
+    file fails as a bad config does, naming its path, before any work."""
+    for cfg in cfgs:
+        try:
+            resolve_field(cfg, cfg.n ** 2)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="msbiot",
@@ -375,6 +387,7 @@ def main(argv=None):
         parser.error(str(exc))
 
     if args.command == "run":
+        _check_fields(parser, [cfg])
         report, max_res, ok = run_scenario(cfg, check=args.check)
         print(f"errors: u_l2={report.e_l2_u:.4g} u_a={report.e_a_u:.4g} "
               f"p_l2={report.e_l2_p:.4g} g_l2={report.e_l2_g:.4g}")
@@ -389,6 +402,11 @@ def main(argv=None):
         values = [_TYPES[key](v) for v in vals.split(",")]
     except ValueError:
         parser.error(f"--vary: {key} takes numbers, got {vals!r}")
+    try:
+        cfgs = [replace(cfg, **{key: v}) for v in values]
+    except ValueError as exc:
+        parser.error(f"--vary: {exc}")
+    _check_fields(parser, cfgs)
     for v, report, max_res in run_sweep(cfg, key, values):
         print(f"{key}={v}: u_l2={report.e_l2_u:.4g} u_a={report.e_a_u:.4g} "
               f"p_l2={report.e_l2_p:.4g} g_l2={report.e_l2_g:.4g} "

@@ -14,6 +14,13 @@ modes (MultiscaleSpace.leading); the steppers restrict every block to
 the columns left free.  The velocity half (J, K) is projected again
 only when a point asks for a larger J_g; the displacement half (A, B)
 and D are kept.
+
+A Pipeline also keeps the elasticity half of the fully-coupled block
+factor (time_integrator.ElasticitySlot): the Cholesky factor of A_ff
+and A_ff⁻¹B_f, keyed by the A and B objects and the free displacement
+columns.  Points that share J_u, such as a J_g or J_t sweep, factor A_ff
+once.  The slot keeps one factor: another J_u releases it first.  Fixed
+stress builds its SuperLU factors per point.
 """
 
 from dataclasses import dataclass, replace
@@ -101,9 +108,12 @@ def downscale(ms: MultiscaleSpace, state: ti.SystemState) -> ti.SystemState:
 
 
 def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
-                     loads, p0_fine):
+                     loads, p0_fine, elasticity_slot=None):
     """Run the projected system on the free columns of ms and downscale
     every state.  coarse_ops: project_operators onto ms's prolongations.
+    elasticity_slot: a time_integrator.ElasticitySlot that the
+    fully-coupled scheme takes its elasticity factor from and leaves it
+    in (see the module docstring).
 
     Returns (coarse trajectory, fine-representation trajectory).
     """
@@ -113,7 +123,7 @@ def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
     # the coarse pressure is one constant per coarse cell, so its Schur
     # complement is small and dense
     traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads, p0_c,
-                    schur=True)
+                    schur=True, elasticity_slot=elasticity_slot)
     traj_f = ti.Trajectory([downscale(ms, s) for s in traj_c.states])
     return traj_c, traj_f
 

@@ -14,6 +14,13 @@ by blocks onto the pressure, with dense Cholesky factors of the
 elasticity and Darcy blocks and of the pressure Schur complement, and
 the initial state reuses the first two.  The fine pressure has n^2
 unknowns, so its Schur complement would be a dense n^2 x n^2 matrix.
+
+Neither τ nor the velocity space enters the elasticity half of that
+block factor, the Cholesky factor of A_ff and A_ff⁻¹B_f.  An
+ElasticitySlot passed to run keeps it across runs on the same A, B and
+free displacement columns, one at a time: a run with another key
+releases the kept half before it factors its own.  Fixed stress builds
+its SuperLU factors per run.
 """
 
 import warnings
@@ -85,24 +92,28 @@ class _Solver:
 
     def solve(self, rhs):
         scale = np.linalg.norm(rhs)
+        res = np.inf        # norm of the residual of the current x
         if self.lu is not None:
             x = self.lu.solve(rhs)
             if scale == 0.0:
                 return x
+            r = rhs - self.M @ x
+            res = np.linalg.norm(r)
             for _ in range(3):
-                r = rhs - self.M @ x
-                if np.linalg.norm(r) <= 1e-10 * scale:
+                if res <= 1e-10 * scale:
                     break
                 x = x + self.lu.solve(r)
+                r = rhs - self.M @ x
+                res = np.linalg.norm(r)
         if self.lu is None or not np.all(np.isfinite(x)) \
-                or np.linalg.norm(self.M @ x - rhs) > 1e-6 * scale:
+                or res > 1e-6 * scale:
             # rank-deficient but consistent systems occur for
             # full-retention reduced spaces; take the min-norm solution
             warnings.warn(f"{self.name}: dense least-squares fallback on a "
                           f"{self.M.shape[0]}x{self.M.shape[1]} system",
                           RuntimeWarning, stacklevel=2)
             x = np.linalg.lstsq(self.M.toarray(), rhs, rcond=None)[0]
-        res = np.linalg.norm(self.M @ x - rhs)
+            res = np.linalg.norm(self.M @ x - rhs)
         if scale > 0 and res > 1e-6 * scale:
             raise RuntimeError(
                 f"{self.name} solve breakdown: relative residual {res / scale:.3e}")
@@ -114,8 +125,10 @@ class _Cholesky:
     SuperLU's."""
 
     def __init__(self, M):
-        self.cf = sla.cho_factor(M.toarray() if sp.issparse(M) else M,
-                                 overwrite_a=True)
+        # LAPACK factors a Fortran-ordered array in place; any other
+        # would be copied first
+        self.cf = sla.cho_factor(M.toarray(order="F") if sp.issparse(M)
+                                 else M, overwrite_a=True)
 
     def solve(self, rhs):
         return sla.cho_solve(self.cf, rhs, check_finite=False)
@@ -131,15 +144,16 @@ class _PressureSchur:
     onto its pressure, from the Cholesky factors of A and J and of the
     SPD Schur complement S = D/τ + B.T A⁻¹ B/τ + K.T J⁻¹ K, which has
     one row per pressure unknown.  A solve is a back-solve with A and J,
-    one with S, and the update of u and g by the new pressure.
+    one with S, and the update of u and g by the new pressure.  The
+    elasticity half, A's factor and AiB = A⁻¹B, comes in prebuilt, so
+    that an ElasticitySlot can keep it.
     """
 
-    def __init__(self, A, J, B, K, D, tau):
+    def __init__(self, A, AiB, J, B, K, D, tau):
         if A is None or J is None:
             raise np.linalg.LinAlgError("the A or J block has no factor")
-        self.A, self.J, self.tau = A, J, tau
+        self.A, self.AiB, self.J, self.tau = A, AiB, J, tau
         self.Bt, self.Kt = B.T.tocsr(), K.T.tocsr()
-        self.AiB = A.solve(B.toarray())
         self.JiK = J.solve(K.toarray())
         self.S = _Cholesky(D.toarray() / tau + self.Bt @ self.AiB / tau
                            + self.Kt @ self.JiK)
@@ -231,17 +245,55 @@ class FullyCoupledStepper(_Stepper):
         return self._state(state, sol[:nu], sol[nu:nu + ng], sol[nu + ng:])
 
 
+class ElasticitySlot:
+    """One kept elasticity half of a _PressureSchur factor (see the
+    module docstring), keyed by the A and B objects and the free
+    displacement columns."""
+
+    def __init__(self):
+        self._key = self._half = None
+
+    def get(self, ops, iu, build):
+        """The half of ops.A and ops.B on the free displacement columns
+        iu: the held one when its key matches, else build()'s, which
+        then replaces it."""
+        key = self._key
+        if key is None or key[0] is not ops.A or key[1] is not ops.B \
+                or not np.array_equal(key[2], iu):
+            self._key = self._half = None
+            self._half = build()
+            self._key = (ops.A, ops.B, iu)
+        return self._half
+
+
 class SchurFullyCoupledStepper(FullyCoupledStepper):
     """The monolithic solve with the _PressureSchur block factor, for a
     system whose pressure has few unknowns.  Its elasticity and Darcy
-    factors also serve initialize."""
+    factors also serve initialize.  elasticity_slot: an ElasticitySlot
+    to take the elasticity half from and leave it in; without one the
+    stepper keeps its own."""
+
+    def __init__(self, ops, free_u, free_g, tau, elasticity_slot=None):
+        self._slot = elasticity_slot or ElasticitySlot()
+        super().__init__(ops, free_u, free_g, tau)
 
     def _factor(self, A_ff, J_ff, K_fp):
-        self.elas = _Solver(A_ff, "elasticity block", _Cholesky)
+        def elasticity_half():
+            try:
+                chol = _Cholesky(A_ff)
+            except np.linalg.LinAlgError:
+                return None, None   # the elasticity _Solver falls back
+            return chol, chol.solve(self.B_fp.toarray())
+
+        # the monolithic matrix first: its assembly peaks in memory, and
+        # no dense factor need be alive then unless the slot holds it
+        mono = self._mono_matrix(A_ff, J_ff, K_fp)
+        chol, AiB = self._slot.get(self.ops, self._iu, elasticity_half)
+        self.elas = _Solver(A_ff, "elasticity block", lambda M: chol)
         self.darcy = _Solver(J_ff, "darcy block", _Cholesky)
         self.mono = _Solver(
-            self._mono_matrix(A_ff, J_ff, K_fp), "monolithic block",
-            lambda M: _PressureSchur(self.elas.lu, self.darcy.lu, self.B_fp,
+            mono, "monolithic block",
+            lambda M: _PressureSchur(chol, AiB, self.darcy.lu, self.B_fp,
                                      K_fp, self.ops.D, self.tau))
 
 
@@ -282,25 +334,30 @@ def step_load(loads, k, t):
     return loads
 
 
-def make_stepper(cfg: SchemeConfig, ops, free_u, free_g, schur=False):
+def make_stepper(cfg: SchemeConfig, ops, free_u, free_g, schur=False,
+                 elasticity_slot=None):
     """The stepper of cfg.scheme.  schur: factor a fully-coupled system
     by blocks onto its pressure (SchurFullyCoupledStepper); only for a
-    system with few pressure unknowns.  Fixed stress ignores it."""
+    system with few pressure unknowns.  elasticity_slot: an
+    ElasticitySlot that such a stepper reuses.  Fixed stress ignores
+    both: it keeps SuperLU factors, built for each stepper."""
     if cfg.scheme == "fixed_stress":
-        cls = FixedStressStepper
-    else:
-        cls = SchurFullyCoupledStepper if schur else FullyCoupledStepper
-    return cls(ops, free_u, free_g, cfg.tau)
+        return FixedStressStepper(ops, free_u, free_g, cfg.tau)
+    if schur:
+        return SchurFullyCoupledStepper(ops, free_u, free_g, cfg.tau,
+                                        elasticity_slot)
+    return FullyCoupledStepper(ops, free_u, free_g, cfg.tau)
 
 
 def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
-        keep_history=True, schur=False):
+        keep_history=True, schur=False, elasticity_slot=None):
     """Advance J_t uniform steps from the initial pressure p0.
 
     loads: as step_load takes them; a callable is evaluated at the end
-    of each step interval.  schur: as make_stepper takes it.
+    of each step interval.  schur, elasticity_slot: as make_stepper
+    takes them.
     """
-    stepper = make_stepper(cfg, ops, free_u, free_g, schur)
+    stepper = make_stepper(cfg, ops, free_u, free_g, schur, elasticity_slot)
     state, u_prev = initialize(stepper, p0)
     traj = Trajectory([state.copy()])
     for k in range(cfg.J_t):

@@ -209,19 +209,41 @@ def test_main_config_file(tmp_path, capsys):
     ("J_u = 0\n", ("J_u",)),
     ("scheme = foo\n", ("scheme", "'foo'")),
     ("T = nan\n", ("T",)),
+    ("N = 2\nn = 2\nJ_u = 4\nJ_g = 1\nfield = {field}\n",
+     ("{field}", "finite")),
 ], ids=["non-numeric", "unknown-key", "missing-file", "out-of-range",
-        "unknown-choice", "non-finite"])
+        "unknown-choice", "non-finite", "bad-field-file"])
 def test_main_config_errors_name_the_input(tmp_path, capsys, text, named):
     path = tmp_path / "cfg.txt"
+    field = tmp_path / "kappa.txt"
+    field.write_text("2 2\n1.0 nan 1.0 1.0\n")
     if text is not None:
-        path.write_text(text)
+        path.write_text(text.format(field=field))
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--config", str(path),
                   "--outdir", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     for part in named:
-        assert part.format(path=path) in err
+        assert part.format(path=path, field=field) in err
+
+
+def test_sweep_names_a_bad_field_file_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_pipeline(cfg):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(cli, "Pipeline", no_pipeline)
+    field = tmp_path / "kappa.txt"
+    save_field(field, np.ones(4), rows=2, cols=2)
+    # the file fits n=2 but not n=4
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--N", "2", "--J_u", "4", "--J_g", "1",
+                  "--field", str(field), "--outdir", str(tmp_path / "out"),
+                  "--vary", "n=2,4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{field}: field file has 4 cells, grid needs 16" in err
 
 
 @pytest.mark.parametrize("bad, key", [

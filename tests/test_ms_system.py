@@ -1,6 +1,7 @@
 """Coarse projection, multiscale solves, and local conservation."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from msbiot import fine_fem as ff
 from msbiot import time_integrator as ti
 from msbiot import ms_system as ms
 from msbiot import cli
+from msbiot.displacement_offline import assemble_R_u
 
 import oracles
 
@@ -270,3 +272,55 @@ def test_pipeline_projects_each_half_once_per_widening(monkeypatch):
     for J_u, J_g in ((4, 2), (12, 2), (20, 2), (20, 1), (20, 3)):
         p.solve_point(J_u=J_u, J_g=J_g)
     assert halves == ["ug", "g"]
+
+
+def _fully_coupled_pipeline(J_u):
+    return cli.Pipeline(cli.ScenarioConfig(
+        scheme="fully_coupled", N=4, n=16, J_u=J_u, J_g=1, J_t=2,
+        contrast=100.0))
+
+
+def _free_u_count(p, J_u):
+    return int(assemble_R_u(p.displacement_basis(J_u), J_u)[1].sum())
+
+
+@pytest.mark.parametrize("vary", ["J_g", "J_t"])
+def test_pipeline_factors_the_coarse_elasticity_block_once_per_J_u(
+        monkeypatch, vary):
+    # neither J_g nor τ enters the elasticity half of the block factor,
+    # so points that share J_u share one Cholesky factor of A_ff
+    sizes = []
+    cho_factor = ti.sla.cho_factor
+
+    def counted(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return cho_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(ti.sla, "cho_factor", counted)
+    p = _fully_coupled_pipeline(4)
+    for v in (1, 2, 3):
+        p.solve_point(**{vary: v})
+    n_u = _free_u_count(p, 4)
+    assert sizes.count(n_u) == 1
+    # the Darcy block and the Schur complement are factored per point
+    assert sizes.count(p.grid.num_coarse_cells) == 3
+
+
+def test_pipeline_keeps_one_coarse_elasticity_factor(monkeypatch):
+    made = []
+
+    class Recorded(ti._Cholesky):
+        def __init__(self, M):
+            super().__init__(M)
+            made.append((M.shape[0], weakref.ref(self)))
+
+    monkeypatch.setattr(ti, "_Cholesky", Recorded)
+    p = _fully_coupled_pipeline(4)
+    for J_u in (2, 3, 4):
+        p.solve_point(J_u=J_u)
+    elas = [(size, ref) for size, ref in made
+            if size in {_free_u_count(p, J_u) for J_u in (2, 3, 4)}]
+    assert [size for size, _ in elas] == [_free_u_count(p, J_u)
+                                          for J_u in (2, 3, 4)]
+    # each J_u's factor is released when the next one is built
+    assert [ref() is not None for _, ref in elas] == [False, False, True]

@@ -146,9 +146,12 @@ def test_masked_point_is_bitwise_its_own_projection(
     cfg = ScenarioConfig(model=model, scheme=scheme, N=N, n=N * m,
                          J_u=J_u + more, J_g=1, J_t=2, field=field,
                          contrast=contrast, seed=seed)
-    # a pipeline whose coarse system was projected at a larger point
+    # a pipeline whose coarse system was projected at a larger point,
+    # and whose last point shares J_u, so a fully-coupled solve reuses
+    # its elasticity factor
     warm = Pipeline(cfg)
     warm.solve_point(J_u=J_u + more, J_g=m)
+    warm.solve_point(J_u=J_u, J_g=m, J_t=cfg.J_t + 1)
     _, max_res, traj = warm.solve_point(J_u=J_u, J_g=J_g)
     got = traj.final
     # every solve conserves mass per coarse cell
