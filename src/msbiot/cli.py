@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, asdict, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -159,8 +160,8 @@ def resolve_field(cfg: ScenarioConfig, ncells):
 
 class Pipeline:
     """One grid/medium/operator setup with cached fine references,
-    offline bases and coarse system, so parameter sweeps only redo the
-    cheap stages."""
+    offline bases, coarse system and error-norm mass matrices, so
+    parameter sweeps only redo the cheap stages."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -191,6 +192,11 @@ class Pipeline:
                 cfg, self.ops, self.spaces.free_u, self.spaces.free_g,
                 self.load, self.p0)
         return self._fine_cache[J_t]
+
+    @cached_property
+    def _error_masses(self):
+        return diagnostics.error_masses(self.grid, self.med,
+                                        self.cfg.velocity_weight)
 
     def displacement_basis(self, J_u):
         """The displacement basis, built once with max(J_u, cfg.J_u)
@@ -252,7 +258,7 @@ class Pipeline:
         else:
             report = diagnostics.compute_errors(
                 traj_f.final, ref, self.ops, self.grid, self.med,
-                cfg.velocity_weight, meta)
+                cfg.velocity_weight, meta, self._error_masses)
         max_res, _ = ms_system.conservation_report(
             self.ops, ms.R_p, traj_f, self.load, scheme_cfg.tau, cfg.scheme)
         return report, max_res, traj_f

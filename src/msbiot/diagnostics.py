@@ -36,20 +36,28 @@ CSV_HEADER = ["N", "n", "Ju", "Jg", "Jt", "scheme", "field",
               "e_l2_u", "e_a_u", "e_l2_p", "e_l2_g"]
 
 
-def compute_errors(ms_state, fine_state, fine_ops, grid, med,
-                   velocity_weight="paper", meta=None):
-    """Relative errors of a downscaled multiscale state against the fine
-    reference state at the same time."""
-    Mu = fine_fem.assemble_vector_mass(grid)
-    Mp = fine_fem.assemble_pressure_mass(grid)
+def error_masses(grid, med, velocity_weight="paper"):
+    """The mass matrices (Mu, Mp, Mg) of the displacement, pressure and
+    weighted velocity L2 norms."""
     if velocity_weight == "paper":
         wg = (med.kappa / med.nu) ** 2
     elif velocity_weight == "energy":
         wg = med.nu / med.kappa
     else:
         raise ValueError(f"unknown velocity weight {velocity_weight!r}")
-    Mg = fine_fem.assemble_velocity_mass(grid, wg)
+    return (fine_fem.assemble_vector_mass(grid),
+            fine_fem.assemble_pressure_mass(grid),
+            fine_fem.assemble_velocity_mass(grid, wg))
 
+
+def compute_errors(ms_state, fine_state, fine_ops, grid, med,
+                   velocity_weight="paper", meta=None, masses=None):
+    """Relative errors of a downscaled multiscale state against the fine
+    reference state at the same time.  masses: error_masses(grid, med,
+    velocity_weight), for a caller that keeps them; built when None."""
+    if masses is None:
+        masses = error_masses(grid, med, velocity_weight)
+    Mu, Mp, Mg = masses
     ref_u = energy_norm(fine_state.u, Mu)
     ref_a = energy_norm(fine_state.u, fine_ops.A)
     ref_p = energy_norm(fine_state.p, Mp)

@@ -15,12 +15,9 @@ the columns left free.  The velocity half (J, K) is projected again
 only when a point asks for a larger J_g; the displacement half (A, B)
 and D are kept.
 
-A Pipeline also keeps the elasticity half of the fully-coupled block
-factor (time_integrator.ElasticitySlot): the Cholesky factor of A_ff
-and A_ff⁻¹B_f, keyed by the A and B objects and the free displacement
-columns.  Points that share J_u, such as a J_g or J_t sweep, factor A_ff
-once.  The slot keeps one factor: another J_u releases it first.  Fixed
-stress builds its SuperLU factors per point.
+A Pipeline also passes every solve one time_integrator.ElasticitySlot,
+which keeps the elasticity half of the fully-coupled block factor
+across points (see the time_integrator docstring).
 """
 
 from dataclasses import dataclass, replace
@@ -102,9 +99,22 @@ def project_initial_pressure(ms: MultiscaleSpace, p0_fine):
     return (ms.R_p.T @ p0_fine) / counts
 
 
-def downscale(ms: MultiscaleSpace, state: ti.SystemState) -> ti.SystemState:
-    return ti.SystemState(ms.R_u @ state.u, ms.R_g @ state.g,
-                          ms.R_p @ state.p, state.t)
+def downscale(ms: MultiscaleSpace, traj: ti.Trajectory) -> ti.Trajectory:
+    """Every state of a coarse trajectory as fine coefficient vectors:
+    one sparse product per field takes all states at once.  It runs over
+    every column of R, masked ones too, whose coefficients are zero:
+    copying R's free columns out would cost more than it saves."""
+    states = traj.states
+
+    def prolong(R, k):
+        # one state per row of a C-ordered array: each state's vector is
+        # contiguous, as a product of R with that state alone gives it
+        X = np.column_stack([getattr(s, k) for s in states])
+        return np.ascontiguousarray((R @ X).T)
+
+    u, g, p = prolong(ms.R_u, "u"), prolong(ms.R_g, "g"), prolong(ms.R_p, "p")
+    return ti.Trajectory([ti.SystemState(*f, s.t)
+                          for s, *f in zip(states, u, g, p)])
 
 
 def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
@@ -113,7 +123,7 @@ def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
     every state.  coarse_ops: project_operators onto ms's prolongations.
     elasticity_slot: a time_integrator.ElasticitySlot that the
     fully-coupled scheme takes its elasticity factor from and leaves it
-    in (see the module docstring).
+    in (see the time_integrator docstring).
 
     Returns (coarse trajectory, fine-representation trajectory).
     """
@@ -124,8 +134,7 @@ def solve_multiscale(coarse_ops, ms: MultiscaleSpace, cfg: ti.SchemeConfig,
     # complement is small and dense
     traj_c = ti.run(cfg, coarse_ops, ms.free_u, ms.free_g, coarse_loads, p0_c,
                     schur=True, elasticity_slot=elasticity_slot)
-    traj_f = ti.Trajectory([downscale(ms, s) for s in traj_c.states])
-    return traj_c, traj_f
+    return traj_c, downscale(ms, traj_c)
 
 
 def conservation_report(fine_ops, R_p, traj_fine: ti.Trajectory, loads, tau,

@@ -12,15 +12,18 @@ fully-coupled system whose pressure has few unknowns, such as the
 coarse one with its N^2 cell constants: run(..., schur=True) factors it
 by blocks onto the pressure, with dense Cholesky factors of the
 elasticity and Darcy blocks and of the pressure Schur complement, and
-the initial state reuses the first two.  The fine pressure has n^2
-unknowns, so its Schur complement would be a dense n^2 x n^2 matrix.
+the initial state reuses the first two.  Its monolithic matrix is never
+assembled: the blocks apply it for the refinement residual.  The fine
+pressure has n^2 unknowns, so its Schur complement would be a dense
+n^2 x n^2 matrix.
 
 Neither τ nor the velocity space enters the elasticity half of that
 block factor, the Cholesky factor of A_ff and A_ff⁻¹B_f.  An
 ElasticitySlot passed to run keeps it across runs on the same A, B and
-free displacement columns, one at a time: a run with another key
-releases the kept half before it factors its own.  Fixed stress builds
-its SuperLU factors per run.
+free displacement columns, so runs that share them, such as the points
+of a J_g or J_t sweep on one cli.Pipeline, factor A_ff once.  The slot
+keeps one half: a run with another key releases it before it factors
+its own.  Fixed stress builds its SuperLU factors per run.
 """
 
 import warnings
@@ -75,13 +78,16 @@ class _Solver:
     """Direct factorization with iterative refinement.
 
     factorize(M) returns an object whose solve(rhs) solves with M;
-    SuperLU's splu by default.  Refines to 1e-10 relative residual
-    against M; high-contrast coefficients can otherwise leave a single
-    backsolve short of that.
+    SuperLU's splu by default, which takes M sparse.  With a factorize
+    of its own, M need only have @, shape and, for the least-squares
+    fallback, toarray().  Refines to 1e-10 relative residual against M;
+    high-contrast coefficients can otherwise leave a single backsolve
+    short of that.
     """
 
     def __init__(self, M, name, factorize=None):
-        self.M = M.tocsc()
+        # SuperLU factors a CSC matrix; any other factorize takes M as is
+        self.M = M if factorize else M.tocsc()
         self.name = name
         try:
             self.lu = (factorize or spla.splu)(self.M)
@@ -134,36 +140,72 @@ class _Cholesky:
         return sla.cho_solve(self.cf, rhs, check_finite=False)
 
 
-class _PressureSchur:
-    """Block factor of the fully-coupled matrix
+class _CoupledBlocks:
+    """The fully-coupled matrix
 
         [ A      0    -B  ]
         [ 0      J    -K  ]
         [ B.T/τ  K.T  D/τ ]
 
-    onto its pressure, from the Cholesky factors of A and J and of the
-    SPD Schur complement S = D/τ + B.T A⁻¹ B/τ + K.T J⁻¹ K, which has
-    one row per pressure unknown.  A solve is a back-solve with A and J,
-    one with S, and the update of u and g by the new pressure.  The
-    elasticity half, A's factor and AiB = A⁻¹B, comes in prebuilt, so
-    that an ElasticitySlot can keep it.
+    kept as its sparse blocks, never assembled: @ applies it block by
+    block, and toarray() gives it dense, for the least-squares fallback
+    only."""
+
+    def __init__(self, A, J, B, K, D, tau):
+        self.A, self.J, self.B, self.K, self.D, self.tau = A, J, B, K, D, tau
+        self.Bt, self.Kt = B.T.tocsr(), K.T.tocsr()
+        n = A.shape[0] + J.shape[0] + D.shape[0]
+        self.shape = (n, n)
+
+    def split(self, x):
+        """The u, g and p blocks of a vector."""
+        nu, ng = self.A.shape[0], self.J.shape[0]
+        return x[:nu], x[nu:nu + ng], x[nu + ng:]
+
+    def __matmul__(self, x):
+        u, g, p = self.split(x)
+        return np.concatenate([
+            self.A @ u - self.B @ p, self.J @ g - self.K @ p,
+            self.Bt @ u / self.tau + self.Kt @ g + self.D @ p / self.tau])
+
+    def toarray(self):
+        nu, ng = self.A.shape[0], self.J.shape[0]
+        return np.block([
+            [self.A.toarray(), np.zeros((nu, ng)), -self.B.toarray()],
+            [np.zeros((ng, nu)), self.J.toarray(), -self.K.toarray()],
+            [self.Bt.toarray() / self.tau, self.Kt.toarray(),
+             self.D.toarray() / self.tau]])
+
+
+def _back_solve(factor, rhs):
+    """factor.solve(rhs); a zero rhs gives zeros without a solve."""
+    return factor.solve(rhs) if rhs.any() else np.zeros_like(rhs)
+
+
+class _PressureSchur:
+    """Block factor of a _CoupledBlocks matrix M onto its pressure, from
+    the Cholesky factors of A and J and of the SPD Schur complement
+    S = D/τ + B.T A⁻¹ B/τ + K.T J⁻¹ K, which has one row per pressure
+    unknown.  A solve is a back-solve with A and J, one with S, and the
+    update of u and g by the new pressure.  A time step's right-hand
+    side is zero in u and g, so it is one solve with S and the products
+    A⁻¹B p and J⁻¹K p.  The elasticity half, A's factor and AiB = A⁻¹B,
+    comes in prebuilt, so that an ElasticitySlot can keep it.
     """
 
-    def __init__(self, A, AiB, J, B, K, D, tau):
+    def __init__(self, M, A, AiB, J):
         if A is None or J is None:
             raise np.linalg.LinAlgError("the A or J block has no factor")
-        self.A, self.AiB, self.J, self.tau = A, AiB, J, tau
-        self.Bt, self.Kt = B.T.tocsr(), K.T.tocsr()
-        self.JiK = J.solve(K.toarray())
-        self.S = _Cholesky(D.toarray() / tau + self.Bt @ self.AiB / tau
-                           + self.Kt @ self.JiK)
+        self.M, self.A, self.AiB, self.J = M, A, AiB, J
+        self.JiK = J.solve(M.K.toarray())
+        self.S = _Cholesky(M.D.toarray() / M.tau + M.Bt @ AiB / M.tau
+                           + M.Kt @ self.JiK)
 
     def solve(self, rhs):
-        nu, ng = self.AiB.shape[0], self.JiK.shape[0]
-        y_u = self.A.solve(rhs[:nu])
-        y_g = self.J.solve(rhs[nu:nu + ng])
-        p = self.S.solve(rhs[nu + ng:] - self.Bt @ y_u / self.tau
-                         - self.Kt @ y_g)
+        M = self.M
+        r_u, r_g, r_p = M.split(rhs)
+        y_u, y_g = _back_solve(self.A, r_u), _back_solve(self.J, r_g)
+        p = self.S.solve(r_p - M.Bt @ y_u / M.tau - M.Kt @ y_g)
         return np.concatenate([y_u + self.AiB @ p, y_g + self.JiK @ p, p])
 
 
@@ -226,15 +268,12 @@ class FullyCoupledStepper(_Stepper):
     factorization of the whole matrix."""
 
     def _factor(self, A_ff, J_ff, K_fp):
-        self.mono = _Solver(self._mono_matrix(A_ff, J_ff, K_fp),
-                            "monolithic block")
-
-    def _mono_matrix(self, A_ff, J_ff, K_fp):
         tau = self.tau
-        return sp.bmat([
+        self.mono = _Solver(sp.bmat([
             [A_ff, None, -self.B_fp],
             [None, J_ff, -K_fp],
-            [self.B_fp.T / tau, K_fp.T, self.ops.D / tau]], format="csc")
+            [self.B_fp.T / tau, K_fp.T, self.ops.D / tau]], format="csc"),
+            "monolithic block")
 
     def step(self, state, u_prev, load):
         nu, ng = len(self._iu), len(self._ig)
@@ -285,16 +324,13 @@ class SchurFullyCoupledStepper(FullyCoupledStepper):
                 return None, None   # the elasticity _Solver falls back
             return chol, chol.solve(self.B_fp.toarray())
 
-        # the monolithic matrix first: its assembly peaks in memory, and
-        # no dense factor need be alive then unless the slot holds it
-        mono = self._mono_matrix(A_ff, J_ff, K_fp)
         chol, AiB = self._slot.get(self.ops, self._iu, elasticity_half)
         self.elas = _Solver(A_ff, "elasticity block", lambda M: chol)
         self.darcy = _Solver(J_ff, "darcy block", _Cholesky)
         self.mono = _Solver(
-            mono, "monolithic block",
-            lambda M: _PressureSchur(chol, AiB, self.darcy.lu, self.B_fp,
-                                     K_fp, self.ops.D, self.tau))
+            _CoupledBlocks(A_ff, J_ff, self.B_fp, K_fp, self.ops.D, self.tau),
+            "monolithic block",
+            lambda M: _PressureSchur(M, chol, AiB, self.darcy.lu))
 
 
 def initialize(stepper, p0):

@@ -85,7 +85,7 @@ def test_downscale_roundtrip(setup, space):
         np.zeros(space.R_u.shape[1]),
         np.zeros(space.R_g.shape[1]),
         np.arange(space.R_p.shape[1], dtype=float), t=0.5)
-    fine = ms.downscale(space, state)
+    fine = ms.downscale(space, ti.Trajectory([state])).final
     assert fine.u.shape == (space.R_u.shape[0],)
     assert fine.t == 0.5
     # coarse pressure indicator downscales to a piecewise-constant field
@@ -101,7 +101,8 @@ def test_solve_multiscale_runs_and_histories(setup, space):
     traj_c, traj_f = ms.solve_multiscale(ms.project_operators(ops, space),
                                          space, cfg, load, p0)
     assert len(traj_c.states) == len(traj_f.states) == 4
-    down = ms.downscale(space, traj_c.final)
+    # one state alone downscales as it does among all of them
+    down = ms.downscale(space, ti.Trajectory([traj_c.final])).final
     assert np.array_equal(down.p, traj_f.final.p)
 
 
@@ -231,6 +232,37 @@ def test_coarse_fully_coupled_factors_by_blocks(setup, space, monkeypatch):
     ti.run(cfg, ops, spaces.free_u, spaces.free_g, load, p0)
     assert len(splu_shapes) == 3
     assert len(cholesky_sizes) == 3
+
+
+def test_coarse_step_back_solves_no_zero_block(setup, space, monkeypatch):
+    # a coarse fully-coupled step's right-hand side is zero in u and g,
+    # so a step solves with the Schur complement only: the A_ff and J_ff
+    # factors solve once for A_ff⁻¹B and J_ff⁻¹K and once in initialize.
+    # The monolithic matrix is never assembled; refinement applies it by
+    # blocks
+    grid, med, bspec, spaces, ops, p0, load = setup
+    nu, ng = space.free_u.sum(), space.free_g.sum()
+    assert len({nu, ng, grid.num_coarse_cells}) == 3
+    solves, bmats = [], []
+    cho_solve, bmat = ti._Cholesky.solve, ti.sp.bmat
+
+    def counted_solve(self, rhs):
+        solves.append((self.cf[0].shape[0], rhs.ndim))
+        return cho_solve(self, rhs)
+
+    def counted_bmat(*args, **kwargs):
+        bmats.append(args)
+        return bmat(*args, **kwargs)
+
+    monkeypatch.setattr(ti._Cholesky, "solve", counted_solve)
+    monkeypatch.setattr(ti.sp, "bmat", counted_bmat)
+    cfg = ti.SchemeConfig("fully_coupled", T=1.0, J_t=3)
+    ms.solve_multiscale(ms.project_operators(ops, space), space, cfg, load,
+                        p0)
+    assert sorted(solves) == sorted(
+        [(nu, 2), (nu, 1), (ng, 2), (ng, 1)]
+        + [(grid.num_coarse_cells, 1)] * cfg.J_t)
+    assert bmats == []
 
 
 def test_full_retention_not_worse(setup):

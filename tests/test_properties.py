@@ -172,3 +172,33 @@ def test_masked_point_is_bitwise_its_own_projection(
     for ref in want:
         for k in "ugp":
             assert np.array_equal(getattr(got, k), getattr(ref, k))
+
+
+@small
+@given(N=st.integers(2, 3), m=st.integers(2, 4),
+       contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
+       model=st.sampled_from(["model1", "model2"]),
+       scheme=st.sampled_from(["fixed_stress", "fully_coupled"]),
+       J_u=st.integers(1, 6), jg=st.integers(0, 3))
+def test_zero_input_stays_exactly_zero(N, m, contrast, seed, model, scheme,
+                                       J_u, jg):
+    # no load and no initial pressure: every state of the fine reference
+    # and of the coarse solve is zero, bitwise, so a solver that skips a
+    # zero block of a right-hand side loses nothing
+    grid, med = _grid_med(N, m, contrast, seed)
+    bspec = ff.BoundarySpec.model1() if model == "model1" \
+        else ff.BoundarySpec.model2()
+    spaces = ff.build_spaces(grid, bspec)
+    ops = ff.assemble_operators(spaces, med)
+    zero = np.zeros(grid.num_fine_cells)
+    cfg = ti.SchemeConfig(scheme, T=1.0, J_t=2)
+    fine = ti.run(cfg, ops, spaces.free_u, spaces.free_g, zero, zero)
+    space = ms_system.build_multiscale_space(grid, med, bspec, J_u,
+                                             1 + jg % m)
+    trajs = ms_system.solve_multiscale(
+        ms_system.project_operators(ops, space), space, cfg, zero, zero)
+    for traj in (fine, *trajs):
+        assert len(traj.states) == cfg.J_t + 1
+        for state in traj.states:
+            for k in "ugp":
+                assert not getattr(state, k).any()
