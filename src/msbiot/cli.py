@@ -229,10 +229,9 @@ class Pipeline:
                 self._space_J_g, dbasis=dbasis, vbasis=self.velocity_basis())
             self._coarse = ms_system.project_operators(self.ops, self._space)
         elif J_g > self._space_J_g:
-            R_g, free_g, mode_g = assemble_R_g(self.velocity_basis(),
-                                               self.bspec, J_g)
-            self._space = replace(self._space, R_g=R_g, free_g=free_g,
-                                  mode_g=mode_g)
+            R_g, mode_g = assemble_R_g(self.velocity_basis(), self.bspec,
+                                       J_g)
+            self._space = replace(self._space, R_g=R_g, mode_g=mode_g)
             self._coarse = ms_system.project_operators(
                 self.ops, self._space, self._coarse)
             self._space_J_g = J_g

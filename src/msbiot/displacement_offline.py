@@ -150,15 +150,16 @@ class DisplacementOfflineBasis:
 def assemble_R_u(basis: DisplacementOfflineBasis, J_u=None):
     """Prolongation from offline displacement coefficients to fine DOFs.
 
-    Returns (R_u, free_cols, modes): free_cols masks out columns of
-    boundary coarse vertices (u = 0 on the whole boundary in both
-    models); modes holds each column's mode index at its vertex.
+    Only interior coarse vertices get columns: u = 0 on the whole
+    boundary in both models.  Returns (R_u, modes), where modes holds
+    each column's mode index at its vertex.
     """
     grid = basis.grid
     return fine_fem.prolongation(
-        ((fine_fem.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u],
-          not grid.coarse_vertex_is_boundary(vb.vertex))
-         for vb in basis.vertex_bases), 2 * grid.num_fine_nodes)
+        ((fine_fem.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u])
+         for vb in basis.vertex_bases
+         if not grid.coarse_vertex_is_boundary(vb.vertex)),
+        2 * grid.num_fine_nodes)
 
 
 def build_coarse_pressure(grid):

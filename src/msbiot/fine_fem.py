@@ -15,6 +15,8 @@ The mesh is either the fine grid (``GridHierarchy``) or a patch of it
 matrix comes out directly in the patch's local numbering.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -79,8 +81,9 @@ class OperatorSet:
     A: elasticity; B: pressure-to-displacement coupling; D: storage
     mass; J: weighted velocity mass; K: pressure tested with velocity
     divergence.  The pressure equation couples through the adjoints:
-    B.T tests the displacement divergence with pressure and K.T the
-    velocity divergence.  No boundary masks are applied here.
+    Bt = B.T tests the displacement divergence with pressure and
+    Kt = K.T the velocity divergence; each is built once, as CSR, on
+    first use.  No boundary masks are applied here.
     """
 
     def __init__(self, A, B, D, J, K):
@@ -89,6 +92,14 @@ class OperatorSet:
         self.D = D
         self.J = J
         self.K = K
+
+    @cached_property
+    def Bt(self):
+        return self.B.T.tocsr()
+
+    @cached_property
+    def Kt(self):
+        return self.K.T.tocsr()
 
 
 def build_spaces(grid, bspec):
@@ -159,8 +170,19 @@ def node_dofs(nodes):
 
 
 def submat(M, rows, cols):
-    """Rows and columns of a sparse matrix, as CSR."""
-    return M.tocsr()[rows][:, cols]
+    """Rows and columns of a sparse matrix, as CSR.  An axis whose index
+    list is all of it in order is not indexed, so a block that keeps
+    every row and column is M itself, not a copy."""
+    M = M.tocsr()
+    if not _whole(rows, M.shape[0]):
+        M = M[rows]
+    if not _whole(cols, M.shape[1]):
+        M = M[:, cols]
+    return M
+
+
+def _whole(idx, n):
+    return len(idx) == n and np.array_equal(idx, np.arange(n))
 
 
 def _scatter(dofs_r, dofs_c, elems, shape):
@@ -174,25 +196,23 @@ def prolongation(blocks, nrows):
     """Sparse prolongation whose columns are local fields placed in the
     global numbering, block after block.
 
-    blocks yields (rows, fields, free): the global index of each local
-    DOF, the local field columns to keep, and whether those columns are
-    free of essential boundary conditions.  Returns (R, free_cols,
-    modes), where modes[c] is column c's index among its block's fields.
+    blocks yields (rows, fields): the global index of each local DOF and
+    the local field columns to keep.  Returns (R, modes), where
+    modes[c] is column c's index among its block's fields.
     """
-    rows, cols, vals, free, modes = [], [], [], [], []
+    rows, cols, vals, modes = [], [], [], []
     ncol = 0
-    for idx, fields, is_free in blocks:
+    for idx, fields in blocks:
         k = fields.shape[1]
         rows.append(np.tile(idx, k))
         cols.append(np.repeat(np.arange(ncol, ncol + k), len(idx)))
         vals.append(fields.T.ravel())
-        free.append(np.full(k, is_free))
         modes.append(np.arange(k))
         ncol += k
     R = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nrows, ncol)).tocsr()
-    return R, np.concatenate(free), np.concatenate(modes)
+    return R, np.concatenate(modes)
 
 
 # ---- assembly routines -------------------------------------------------

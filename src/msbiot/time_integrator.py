@@ -18,12 +18,13 @@ pressure has n^2 unknowns, so its Schur complement would be a dense
 n^2 x n^2 matrix.
 
 Neither τ nor the velocity space enters the elasticity half of that
-block factor, the Cholesky factor of A_ff and A_ff⁻¹B_f.  An
-ElasticitySlot passed to run keeps it across runs on the same A, B and
-free displacement columns, so runs that share them, such as the points
-of a J_g or J_t sweep on one cli.Pipeline, factor A_ff once.  The slot
-keeps one half: a run with another key releases it before it factors
-its own.  Fixed stress builds its SuperLU factors per run.
+block factor: A_ff and B_f, the Cholesky factor of A_ff and A_ff⁻¹B_f.
+An ElasticitySlot passed to run keeps it across runs on the same A, B
+and free displacement columns, so runs that share them, such as the
+points of a J_g or J_t sweep on one cli.Pipeline, cut out and factor
+A_ff once.  The slot keeps one half: a run with another key releases it
+before it cuts out its own blocks.  Fixed stress builds its SuperLU
+factors per run.
 """
 
 import warnings
@@ -145,15 +146,15 @@ class _CoupledBlocks:
 
         [ A      0    -B  ]
         [ 0      J    -K  ]
-        [ B.T/τ  K.T  D/τ ]
+        [ Bt/τ   Kt   D/τ ]
 
-    kept as its sparse blocks, never assembled: @ applies it block by
-    block, and toarray() gives it dense, for the least-squares fallback
-    only."""
+    kept as its sparse blocks, never assembled, with Bt = B.T and
+    Kt = K.T given as CSR: @ applies it block by block, and toarray()
+    gives it dense, for the least-squares fallback only."""
 
-    def __init__(self, A, J, B, K, D, tau):
+    def __init__(self, A, J, B, K, Bt, Kt, D, tau):
         self.A, self.J, self.B, self.K, self.D, self.tau = A, J, B, K, D, tau
-        self.Bt, self.Kt = B.T.tocsr(), K.T.tocsr()
+        self.Bt, self.Kt = Bt, Kt
         n = A.shape[0] + J.shape[0] + D.shape[0]
         self.shape = (n, n)
 
@@ -211,29 +212,34 @@ class _PressureSchur:
 
 class _Stepper:
     """What both schemes share: the operators, free-DOF index sets, the
-    blocks restricted to them (each scheme's _factor builds its
-    solvers), the pressure right-hand side, whose couplings are the
-    adjoints B.T and K.T, and the scatter of a solution to full-length
-    vectors.  A stepper whose _factor keeps solvers of the elasticity
-    block A_ff or the Darcy block J_ff names them elas and darcy, and
-    initialize reuses them."""
+    blocks restricted to them (each scheme's _factor builds its solvers
+    from A_ff and J_ff; B_fp and K_fp are kept), the pressure right-hand
+    side, whose couplings are the adjoints B.T and K.T, and the scatter
+    of a solution to full-length vectors.  A stepper whose _factor keeps
+    solvers of the elasticity block A_ff or the Darcy block J_ff names
+    them elas and darcy, and initialize reuses them."""
 
     elas = darcy = None
 
     def __init__(self, ops, free_u, free_g, tau):
         self.tau = tau
         self.ops = ops
-        self._iu = iu = np.flatnonzero(free_u)
+        self._iu = np.flatnonzero(free_u)
         self._ig = ig = np.flatnonzero(free_g)
-        ip = np.arange(ops.D.shape[0])
-        self.B_fp = submat(ops.B, iu, ip)
-        self._factor(submat(ops.A, iu, iu), submat(ops.J, ig, ig),
-                     submat(ops.K, ig, ip))
+        self._ip = np.arange(ops.D.shape[0])
+        A_ff, self.B_fp = self._elasticity_blocks()
+        self.K_fp = submat(ops.K, ig, self._ip)
+        self._factor(A_ff, submat(ops.J, ig, ig))
+
+    def _elasticity_blocks(self):
+        """A_ff and B_fp: A and B on the free displacement rows."""
+        iu = self._iu
+        return submat(self.ops.A, iu, iu), submat(self.ops.B, iu, self._ip)
 
     def _rhs_p(self, load, du, p):
         """Pressure right-hand side with the displacement change du
         moved to it."""
-        return load - self.ops.B.T @ (du / self.tau) \
+        return load - self.ops.Bt @ (du / self.tau) \
             + self.ops.D @ (p / self.tau)
 
     def _state(self, prev, u_free, g_free, p):
@@ -249,7 +255,8 @@ class FixedStressStepper(_Stepper):
     elasticity driven by the fresh pressure.  The flow block sees the
     displacement change of the previous step."""
 
-    def _factor(self, A_ff, J_ff, K_fp):
+    def _factor(self, A_ff, J_ff):
+        K_fp = self.K_fp
         self.flow = _Solver(sp.bmat([[J_ff, -K_fp],
                                      [K_fp.T, self.ops.D / self.tau]],
                                     format="csc"), "flow block")
@@ -267,8 +274,8 @@ class FullyCoupledStepper(_Stepper):
     """One step of the monolithic three-field solve, with SuperLU's
     factorization of the whole matrix."""
 
-    def _factor(self, A_ff, J_ff, K_fp):
-        tau = self.tau
+    def _factor(self, A_ff, J_ff):
+        tau, K_fp = self.tau, self.K_fp
         self.mono = _Solver(sp.bmat([
             [A_ff, None, -self.B_fp],
             [None, J_ff, -K_fp],
@@ -284,6 +291,25 @@ class FullyCoupledStepper(_Stepper):
         return self._state(state, sol[:nu], sol[nu:nu + ng], sol[nu + ng:])
 
 
+class _ElasticityHalf:
+    """The elasticity half of a _PressureSchur factor: the blocks A_ff,
+    B_f and Bt_f = B_f.T, A_ff's Cholesky factor chol and AiB = A_ff⁻¹B_f.
+    chol and AiB are None when A_ff has no Cholesky factor; the
+    elasticity _Solver then falls back."""
+
+    def __init__(self, ops, iu):
+        ip = np.arange(ops.B.shape[1])
+        self.A_ff = submat(ops.A, iu, iu)
+        self.B_f = submat(ops.B, iu, ip)
+        self.Bt_f = submat(ops.Bt, ip, iu)
+        try:
+            self.chol = _Cholesky(self.A_ff)
+        except np.linalg.LinAlgError:
+            self.chol = self.AiB = None
+        else:
+            self.AiB = self.chol.solve(self.B_f.toarray())
+
+
 class ElasticitySlot:
     """One kept elasticity half of a _PressureSchur factor (see the
     module docstring), keyed by the A and B objects and the free
@@ -292,15 +318,16 @@ class ElasticitySlot:
     def __init__(self):
         self._key = self._half = None
 
-    def get(self, ops, iu, build):
+    def get(self, ops, iu):
         """The half of ops.A and ops.B on the free displacement columns
-        iu: the held one when its key matches, else build()'s, which
-        then replaces it."""
+        iu: the held one when its key matches, else a new one, which
+        replaces it.  The held half is released before the new one's
+        blocks are cut out, so two are never held at once."""
         key = self._key
         if key is None or key[0] is not ops.A or key[1] is not ops.B \
                 or not np.array_equal(key[2], iu):
             self._key = self._half = None
-            self._half = build()
+            self._half = _ElasticityHalf(ops, iu)
             self._key = (ops.A, ops.B, iu)
         return self._half
 
@@ -316,21 +343,22 @@ class SchurFullyCoupledStepper(FullyCoupledStepper):
         self._slot = elasticity_slot or ElasticitySlot()
         super().__init__(ops, free_u, free_g, tau)
 
-    def _factor(self, A_ff, J_ff, K_fp):
-        def elasticity_half():
-            try:
-                chol = _Cholesky(A_ff)
-            except np.linalg.LinAlgError:
-                return None, None   # the elasticity _Solver falls back
-            return chol, chol.solve(self.B_fp.toarray())
+    def _elasticity_blocks(self):
+        # the slot releases a half of another key before it cuts out
+        # this one's blocks
+        self._half = self._slot.get(self.ops, self._iu)
+        return self._half.A_ff, self._half.B_f
 
-        chol, AiB = self._slot.get(self.ops, self._iu, elasticity_half)
-        self.elas = _Solver(A_ff, "elasticity block", lambda M: chol)
+    def _factor(self, A_ff, J_ff):
+        half = self._half
+        self.elas = _Solver(A_ff, "elasticity block", lambda M: half.chol)
         self.darcy = _Solver(J_ff, "darcy block", _Cholesky)
         self.mono = _Solver(
-            _CoupledBlocks(A_ff, J_ff, self.B_fp, K_fp, self.ops.D, self.tau),
+            _CoupledBlocks(A_ff, J_ff, self.B_fp, self.K_fp, half.Bt_f,
+                           submat(self.ops.Kt, self._ip, self._ig),
+                           self.ops.D, self.tau),
             "monolithic block",
-            lambda M: _PressureSchur(M, chol, AiB, self.darcy.lu))
+            lambda M: _PressureSchur(M, half.chol, half.AiB, self.darcy.lu))
 
 
 def initialize(stepper, p0):
@@ -352,7 +380,7 @@ def initialize(stepper, p0):
     if len(ig):
         darcy = stepper.darcy or _Solver(submat(ops.J, ig, ig),
                                          "initial flow")
-        g[ig] = darcy.solve(submat(ops.K, ig, np.arange(len(p0))) @ p0)
+        g[ig] = darcy.solve(stepper.K_fp @ p0)
     state = SystemState(u, g, p0.copy(), 0.0)
     return state, u.copy()
 

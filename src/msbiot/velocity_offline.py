@@ -178,13 +178,14 @@ class VelocityOfflineBasis:
 def assemble_R_g(basis: VelocityOfflineBasis, bspec, J_v):
     """Prolongation from offline velocity coefficients to fine edges.
 
-    Returns (R_g, free_cols, modes): free_cols masks out columns of
-    coarse edges lying on a Gamma2 portion of the boundary; modes holds
-    each column's mode index at its edge.
+    Coarse edges lying on a Gamma2 portion of the boundary (zero normal
+    flux) get no columns.  Returns (R_g, modes), where modes holds each
+    column's mode index at its edge.
     """
     grid = basis.grid
     gamma2 = set(grid.boundary_fine_edges(bspec.gamma2).tolist())
     return fine_fem.prolongation(
-        ((eb.nb.fine_edges, eb.fields[:, :J_v],
-          not gamma2.issuperset(grid.fine_edges_on(eb.edge).tolist()))
-         for eb in basis.edge_bases), grid.num_fine_edges)
+        ((eb.nb.fine_edges, eb.fields[:, :J_v])
+         for eb in basis.edge_bases
+         if not gamma2.issuperset(grid.fine_edges_on(eb.edge).tolist())),
+        grid.num_fine_edges)

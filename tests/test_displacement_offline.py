@@ -159,14 +159,15 @@ def test_constant_pou_identity():
 def test_assemble_R_u_counts_and_boundary():
     grid, med = _grid_med(N=4, n=8)
     basis = do.DisplacementOfflineBasis(grid, med, max_modes=3)
-    R_u, free, modes = do.assemble_R_u(basis, J_u=3)
-    assert R_u.shape == (2 * grid.num_fine_nodes,
-                         3 * grid.num_coarse_vertices)
-    assert free.sum() == 3 * len(grid.interior_coarse_vertices())
-    # free columns vanish on the domain boundary
+    R_u, modes = do.assemble_R_u(basis, J_u=3)
+    # columns of interior coarse vertices only, three modes each
+    ninterior = len(grid.interior_coarse_vertices())
+    assert R_u.shape == (2 * grid.num_fine_nodes, 3 * ninterior)
+    assert np.array_equal(modes, np.tile(np.arange(3), ninterior))
+    # every column vanishes on the domain boundary
     bdofs = np.concatenate([2 * grid.boundary_fine_nodes(),
                             2 * grid.boundary_fine_nodes() + 1])
-    Rb = np.abs(R_u.toarray()[bdofs][:, free])
+    Rb = np.abs(R_u.toarray()[bdofs])
     assert Rb.max() < 1e-12
 
 

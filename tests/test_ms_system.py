@@ -44,11 +44,13 @@ def space(setup):
 
 
 def test_space_dimensions(setup, space):
+    # only columns a solve can use: none for a boundary coarse vertex
+    # (u = 0) or, under model 1, for a coarse edge on Gamma2
     grid = setup[0]
     assert space.R_u.shape == (2 * grid.num_fine_nodes,
-                               6 * grid.num_coarse_vertices)
+                               6 * len(grid.interior_coarse_vertices()))
     assert space.R_g.shape == (grid.num_fine_edges,
-                               2 * grid.num_coarse_edges)
+                               2 * len(grid.interior_coarse_edges()))
     assert space.R_p.shape == (grid.num_fine_cells, grid.num_coarse_cells)
     assert space.dims == {"u": space.R_u.shape[1], "g": space.R_g.shape[1],
                           "p": grid.num_coarse_cells}
@@ -106,6 +108,18 @@ def test_solve_multiscale_runs_and_histories(setup, space):
     assert np.array_equal(down.p, traj_f.final.p)
 
 
+def _stepwise_residuals(ops, R_p, states, load, tau, scheme):
+    """conservation_report's residuals, formed one step at a time."""
+    res = []
+    for k in range(1, len(states)):
+        new, old, older = states[k], states[k - 1], states[max(k - 2, 0)]
+        du = old.u - older.u if scheme == "fixed_stress" else new.u - old.u
+        r = ops.K.T @ new.g + ops.D @ ((new.p - old.p) / tau) \
+            + ops.B.T @ (du / tau) - load
+        res.append(np.abs(R_p.T @ r))
+    return np.array(res)
+
+
 @pytest.mark.parametrize("model,scheme", [
     ("model1", "fixed_stress"), ("model1", "fully_coupled"),
     ("model2", "fixed_stress")])
@@ -119,6 +133,9 @@ def test_local_conservation(model, scheme):
                                           cfg.tau, scheme)
     assert res.shape == (4, grid.num_coarse_cells)
     assert max_res <= 1e-9 * (np.abs(load).max() + 1.0)
+    # all steps at once, bitwise as one step at a time
+    assert np.array_equal(res, _stepwise_residuals(
+        ops, space.R_p, traj_f.states, load, cfg.tau, scheme))
 
 
 def test_fine_space_is_not_conservative_on_coarse_cells(setup):
@@ -313,7 +330,7 @@ def _fully_coupled_pipeline(J_u):
 
 
 def _free_u_count(p, J_u):
-    return int(assemble_R_u(p.displacement_basis(J_u), J_u)[1].sum())
+    return assemble_R_u(p.displacement_basis(J_u), J_u)[0].shape[1]
 
 
 @pytest.mark.parametrize("vary", ["J_g", "J_t"])
@@ -356,3 +373,33 @@ def test_pipeline_keeps_one_coarse_elasticity_factor(monkeypatch):
                                           for J_u in (2, 3, 4)]
     # each J_u's factor is released when the next one is built
     assert [ref() is not None for _, ref in elas] == [False, False, True]
+
+
+def test_elasticity_slot_cuts_blocks_only_on_a_miss(monkeypatch):
+    # on a miss the slot releases the half it holds before the new A_ff
+    # is cut out of the coarse A, so two halves are never held at once;
+    # a hit cuts nothing out, and at the largest J_u A_ff is the coarse
+    # A itself, not a copy
+    p = _fully_coupled_pipeline(4)
+    slot, cuts, blocks = p._elasticity, [], []
+    submat, make_stepper = ti.submat, ti.make_stepper
+
+    def recorded_submat(M, rows, cols):
+        if M is p._coarse.A:
+            cuts.append((point, held() is None))
+        return submat(M, rows, cols)
+
+    def recorded_make_stepper(*args, **kwargs):
+        stepper = make_stepper(*args, **kwargs)
+        if isinstance(stepper, ti.SchurFullyCoupledStepper):
+            blocks.append(stepper.elas.M is p._coarse.A)
+        return stepper
+
+    monkeypatch.setattr(ti, "submat", recorded_submat)
+    monkeypatch.setattr(ti, "make_stepper", recorded_make_stepper)
+    points = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2))
+    for point in points:
+        held = weakref.ref(slot._half) if slot._half else lambda: None
+        p.solve_point(*point)
+    assert cuts == [((2, 1), True), ((3, 1), True), ((4, 1), True)]
+    assert blocks == [J_u == 4 for J_u, _ in points]

@@ -177,6 +177,57 @@ def test_masked_point_is_bitwise_its_own_projection(
 @small
 @given(N=st.integers(2, 3), m=st.integers(2, 4),
        contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
+       model=st.sampled_from(["model1", "model2"]), J_u=st.integers(1, 6),
+       more=st.integers(1, 4), jg=st.integers(0, 3))
+def test_free_columns_are_nested_and_project_as_full_width(
+        N, m, contrast, seed, model, J_u, more, jg):
+    grid, med = _grid_med(N, m, contrast, seed)
+    bspec = ff.BoundarySpec.model1() if model == "model1" \
+        else ff.BoundarySpec.model2()
+    ops = ff.assemble_operators(ff.build_spaces(grid, bspec), med)
+    dbasis = do.DisplacementOfflineBasis(grid, med, J_u + more)
+    vbasis = vo.VelocityOfflineBasis(grid, med)
+    J_g = 1 + jg % m
+
+    def space(J_u, J_g):
+        return ms_system.build_multiscale_space(
+            grid, med, bspec, J_u, J_g, dbasis=dbasis, vbasis=vbasis)
+
+    # nestedness: the space of (J_u, J_g) is, bitwise, the leading-mode
+    # columns of a larger one
+    point, larger = space(J_u, J_g), space(J_u + more, m)
+    lead = larger.leading(J_u, J_g)
+    assert np.array_equal(point.R_u.toarray(),
+                          larger.R_u[:, lead.free_u].toarray())
+    assert np.array_equal(point.R_g.toarray(),
+                          larger.R_g[:, lead.free_g].toarray())
+    # a prolongation with a column for every coarse vertex and edge; u = 0
+    # on the whole boundary and, under model 1, g.n = 0 on it too
+    R_u, _ = ff.prolongation(
+        ((ff.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u])
+         for vb in dbasis.vertex_bases), 2 * grid.num_fine_nodes)
+    R_g, _ = ff.prolongation(((eb.nb.fine_edges, eb.fields[:, :J_g])
+                              for eb in vbasis.edge_bases),
+                             grid.num_fine_edges)
+    free_u = np.repeat([not grid.coarse_vertex_is_boundary(j)
+                        for j in range(grid.num_coarse_vertices)], J_u)
+    free_g = np.repeat([model == "model2" or not grid.coarse_edge_is_boundary(i)
+                        for i in range(grid.num_coarse_edges)], J_g)
+    full = ms_system.project_operators(
+        ops, ms_system.MultiscaleSpace(R_u, R_g, point.R_p, None, None))
+    coarse = ms_system.project_operators(ops, point)
+    iu, ig = np.flatnonzero(free_u), np.flatnonzero(free_g)
+    ip = np.arange(grid.num_coarse_cells)
+    for k, rows, cols in (("A", iu, iu), ("B", iu, ip), ("J", ig, ig),
+                          ("K", ig, ip), ("D", ip, ip)):
+        assert np.array_equal(getattr(coarse, k).toarray(),
+                              ff.submat(getattr(full, k), rows,
+                                        cols).toarray()), k
+
+
+@small
+@given(N=st.integers(2, 3), m=st.integers(2, 4),
+       contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
        model=st.sampled_from(["model1", "model2"]),
        scheme=st.sampled_from(["fixed_stress", "fully_coupled"]),
        J_u=st.integers(1, 6), jg=st.integers(0, 3))

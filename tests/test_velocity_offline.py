@@ -137,15 +137,17 @@ def test_assemble_R_g_shapes_and_masks():
     grid, med = _grid_med(N=2, n=8)
     basis = vo.VelocityOfflineBasis(grid, med)
     J_v = 2
-    R_g, free, modes = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), J_v)
-    assert R_g.shape == (grid.num_fine_edges, J_v * grid.num_coarse_edges)
-    # model 1: columns of boundary coarse edges are masked
-    nbound = sum(grid.coarse_edge_is_boundary(i)
-                 for i in range(grid.num_coarse_edges))
-    assert (~free).sum() == J_v * nbound
-    # model 2: every column free
-    _, free2, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model2(), J_v)
-    assert free2.all()
+    R_g, modes = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), J_v)
+    # model 1: boundary coarse edges lie on Gamma2 and get no columns
+    ninterior = len(grid.interior_coarse_edges())
+    assert ninterior < grid.num_coarse_edges
+    assert R_g.shape == (grid.num_fine_edges, J_v * ninterior)
+    assert np.array_equal(modes, np.tile(np.arange(J_v), ninterior))
+    # and every column carries no flux through the boundary
+    assert not R_g[grid.boundary_fine_edges()].toarray().any()
+    # model 2: every coarse edge gets its columns
+    R_g2, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model2(), J_v)
+    assert R_g2.shape == (grid.num_fine_edges, J_v * grid.num_coarse_edges)
     # full retention
-    R_full, _, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), None)
-    assert R_full.shape[1] == grid.m * grid.num_coarse_edges
+    R_full, _ = vo.assemble_R_g(basis, ff.BoundarySpec.model1(), None)
+    assert R_full.shape[1] == grid.m * ninterior
