@@ -1,11 +1,20 @@
 """Multiscale displacement basis and the coarse pressure space.
 
-Per coarse vertex neighborhood: a generalized eigenproblem on the full
-local fine displacement space (elastic energy against a (lam+2mu)-
-weighted mass), a pair of blockwise elasticity-harmonic partition-of-
-unity fields driven by the bilinear hat of the vertex, and the nodewise
-products of the two.  The coarse pressure space is the indicator basis
-of the coarse cells.
+Per interior coarse vertex neighborhood: a generalized eigenproblem on
+the full local fine displacement space (elastic energy against a
+(lam+2mu)-weighted mass), a pair of blockwise elasticity-harmonic
+partition-of-unity fields driven by the bilinear hat of the vertex, and
+the nodewise products of the two.  Boundary vertices get the partition
+of unity only: u = 0 on the boundary, so no basis of theirs is used.
+The coarse pressure space is the indicator basis of the coarse cells.
+
+Local problems are set up by patch shape: the coarse blocks are all
+congruent, and so are the interior vertex neighborhoods, so their
+matrices are assembled together (fine_fem.assemble_patches) and the
+block's interior/boundary split, sub-block positions and scatter-back
+indices are found once.  Every SuperLU factor and eigenproblem still
+runs per patch on the arrays a per-patch assembly gives, so the answers
+are bitwise unchanged.
 """
 
 import numpy as np
@@ -14,31 +23,45 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fine_fem
-from .grid import Neighborhood
+from .grid import Neighborhood, Placements
 
 _DENSE_EIG_LIMIT = 900  # local DOF count below which dense eigh is used
 
 
 def hat_value(grid, j, xy):
-    """Bilinear hat of coarse vertex j evaluated at points xy."""
+    """Bilinear hat of coarse vertex j evaluated at points xy.  j and
+    the leading axes of xy broadcast against each other."""
     X = grid.coarse_vertex_xy(j)
     H = grid.H
     xy = np.atleast_2d(xy)
-    return (np.maximum(0.0, 1.0 - np.abs(xy[:, 0] - X[0]) / H)
-            * np.maximum(0.0, 1.0 - np.abs(xy[:, 1] - X[1]) / H))
+    return (np.maximum(0.0, 1.0 - np.abs(xy[..., 0] - X[..., 0]) / H)
+            * np.maximum(0.0, 1.0 - np.abs(xy[..., 1] - X[..., 1]) / H))
 
 
-def local_displacement_eig(grid, med, j, J_u=None):
+def vertex_pencils(grid, med, vertices):
+    """(nb, A, S) of each vertex: its neighborhood nb, the elastic
+    energy A and the (lam+2mu)-weighted mass S on it.  Congruent
+    neighborhoods are assembled together (fine_fem.assemble_patches),
+    bitwise as on each alone.  Yields them in the order of vertices."""
+    lam, mu = med.lam, med.mu
+    nbs = [grid.vertex_neighborhood(j) for j in vertices]
+    mats = fine_fem.assemble_patches(nbs, lambda mesh, cells: (
+        fine_fem.assemble_elasticity(mesh, lam[cells], mu[cells]),
+        fine_fem.assemble_vector_mass(mesh, lam[cells] + 2.0 * mu[cells])))
+    for nb, (A, S) in zip(nbs, mats):
+        yield nb, A, S
+
+
+def local_displacement_eig(grid, med, j, J_u=None, pencil=None):
     """Smallest eigenpairs of the local energy/mass pencil on the vertex
-    neighborhood.  J_u=None keeps the full local spectrum.
+    neighborhood.  J_u=None keeps the full local spectrum.  pencil: the
+    vertex's (nb, A, S) as vertex_pencils gives it, assembled here when
+    None.
 
     Returns (eigvals, eigvecs, nb): eigvecs columns are s-orthonormal
     local DOF vectors (interleaved over nb.fine_nodes).
     """
-    nb = grid.vertex_neighborhood(j)
-    lam, mu = med.lam[nb.fine_cells], med.mu[nb.fine_cells]
-    A = fine_fem.assemble_elasticity(nb, lam, mu)
-    S = fine_fem.assemble_vector_mass(nb, lam + 2.0 * mu)
+    nb, A, S = pencil or next(vertex_pencils(grid, med, [j]))
     dim = 2 * nb.num_fine_nodes
     if J_u is None:
         J_u = dim
@@ -46,8 +69,11 @@ def local_displacement_eig(grid, med, j, J_u=None):
         raise ValueError(f"J_u={J_u} outside [1, {dim}] on vertex {j}")
 
     if dim <= _DENSE_EIG_LIMIT or J_u > dim - 2:
-        vals, vecs = scipy.linalg.eigh(A.toarray(), S.toarray(),
-                                       subset_by_index=[0, J_u - 1])
+        # LAPACK works in place on Fortran-ordered copies
+        vals, vecs = scipy.linalg.eigh(
+            A.toarray(order="F"), S.toarray(order="F"),
+            subset_by_index=[0, J_u - 1], overwrite_a=True, overwrite_b=True,
+            check_finite=False)
     else:
         # shift-invert with a small negative shift; A alone is singular
         # (rigid translations)
@@ -75,38 +101,47 @@ def build_pou(grid, med):
     with the hat of a corner vertex as Dirichlet data in one component
     and zero in the other.  The block's interior elasticity matrix is
     factorized once and solved at once for its four corners and both
-    components.  Returns one (xi1, xi2) per vertex j; each field has
-    shape (len(nb.fine_nodes), 2) on nb = grid.vertex_neighborhood(j).
+    components.  The blocks are congruent, so their interior/boundary
+    split, the positions of the interior and coupling sub-blocks and
+    where a block's nodes lie in each corner's neighborhood are found
+    once; a block only gathers its own values into them.  Returns one
+    (xi1, xi2) per vertex j; each field has shape
+    (len(nb.fine_nodes), 2) on nb = grid.vertex_neighborhood(j).
     """
     nbs = [grid.vertex_neighborhood(j)
            for j in range(grid.num_coarse_vertices)]
     pou = [(np.zeros((len(nb.fine_nodes), 2)),
             np.zeros((len(nb.fine_nodes), 2))) for nb in nbs]
-    for c in range(grid.num_coarse_cells):
-        block = Neighborhood([c], grid)
-        nodes = block.fine_nodes
-        # nodes of fewer than four block cells lie on the block boundary
-        on_bnd = np.bincount(block.cell_nodes.ravel()) < 4
-        A = fine_fem.assemble_elasticity(block, med.lam[block.fine_cells],
-                                         med.mu[block.fine_cells])
-        bnd_dofs = np.repeat(on_bnd, 2)
-        ii = np.flatnonzero(~bnd_dofs)
-        bb = np.flatnonzero(bnd_dofs)
+    blocks = [Neighborhood([c], grid) for c in range(grid.num_coarse_cells)]
+    shape = blocks[0].shape
+    # nodes of fewer than four block cells lie on the block boundary
+    on_bnd = np.bincount(shape.cell_nodes.ravel()) < 4
+    bnd_dofs = np.repeat(on_bnd, 2)
+    ii = np.flatnonzero(~bnd_dofs)
+    bb = np.flatnonzero(bnd_dofs)
+    ones = np.ones(shape.num_fine_cells)
+    template = fine_fem.assemble_elasticity(shape, ones, ones)
+    A_ii = fine_fem.Gather(lambda A: A[ii][:, ii].tocsc(), template)
+    A_ib = fine_fem.Gather(lambda A: A[ii][:, bb], template)
+    place = Placements()
 
+    # Dirichlet data: hat k of each block's corners on its boundary nodes
+    corners = grid.coarse_cell_nodes
+    hats = hat_value(grid, corners[:, :, None], grid.fine_node_xy(
+        np.stack([b.fine_nodes[on_bnd] for b in blocks]))[:, None])
+    mats = fine_fem.assemble_patches(blocks, lambda mesh, cells: (
+        fine_fem.assemble_elasticity(mesh, med.lam[cells], med.mu[cells]),))
+    for block, hat, (A,) in zip(blocks, hats, mats):
         # columns 2k and 2k+1: corner k's hat in the x and y component
-        corners = grid.coarse_cell_nodes[c]
-        xy = grid.fine_node_xy(nodes[on_bnd])
-        sol = np.zeros((2 * len(nodes), 8))
-        for k, j in enumerate(corners):
-            hat = hat_value(grid, j, xy)
-            sol[bb[0::2], 2 * k] = hat
-            sol[bb[1::2], 2 * k + 1] = hat
+        sol = np.zeros((2 * shape.num_fine_nodes, 8))
+        sol[bb[0::2], 0::2] = hat.T
+        sol[bb[1::2], 1::2] = hat.T
         if len(ii):
-            sol[ii] = spla.splu(A[ii][:, ii].tocsc()).solve(
-                -(A[ii][:, bb] @ sol[bb]))
+            sol[ii] = spla.splu(A_ii(A.data)).solve(
+                -(A_ib(A.data) @ sol[bb]))
 
-        for k, j in enumerate(corners):
-            loc = nbs[j].local_nodes(nodes)
+        for k, j in enumerate(corners[block.members[0]]):
+            _, loc, _ = place(nbs[j], block)
             for comp, xi in enumerate(pou[j]):
                 xi[loc] = sol[:, 2 * k + comp].reshape(-1, 2)
     return pou
@@ -129,37 +164,43 @@ def multiply_basis(pou, eigvecs):
 class VertexBasis:
     """Eigenpairs and product fields of one coarse vertex."""
 
-    def __init__(self, grid, med, j, pou, J_u=None):
+    def __init__(self, grid, med, j, pou, J_u, pencil):
         self.vertex = j
         self.eigvals, eigvecs, self.nb = local_displacement_eig(
-            grid, med, j, J_u)
+            grid, med, j, J_u, pencil)
         self.fields = multiply_basis(pou, eigvecs)
 
 
 class DisplacementOfflineBasis:
-    """Product basis for every coarse vertex (up to max_modes eigenpairs
-    each; truncation to a smaller J_u happens at prolongation time)."""
+    """Product basis of every interior coarse vertex (up to max_modes
+    eigenpairs each; truncation to a smaller J_u happens at prolongation
+    time).  u = 0 on the whole boundary in both models, so no column of
+    a prolongation uses a boundary vertex, and none gets a basis; the
+    partition of unity is still built for every vertex."""
 
     def __init__(self, grid, med, max_modes=None):
         self.grid = grid
         self.max_modes = max_modes
-        self.vertex_bases = [VertexBasis(grid, med, j, pou, max_modes)
-                             for j, pou in enumerate(build_pou(grid, med))]
+        pou = build_pou(grid, med)
+        interior = grid.interior_coarse_vertices()
+        self.vertex_bases = [
+            VertexBasis(grid, med, j, pou[j], max_modes, pencil)
+            for j, pencil in zip(interior,
+                                 vertex_pencils(grid, med, interior))]
 
 
 def assemble_R_u(basis: DisplacementOfflineBasis, J_u=None):
     """Prolongation from offline displacement coefficients to fine DOFs.
 
-    Only interior coarse vertices get columns: u = 0 on the whole
-    boundary in both models.  Returns (R_u, modes), where modes holds
-    each column's mode index at its vertex.
+    The basis holds interior coarse vertices only, so only they get
+    columns: u = 0 on the whole boundary in both models.  Returns
+    (R_u, modes), where modes holds each column's mode index at its
+    vertex.
     """
-    grid = basis.grid
     return fine_fem.prolongation(
         ((fine_fem.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u])
-         for vb in basis.vertex_bases
-         if not grid.coarse_vertex_is_boundary(vb.vertex)),
-        2 * grid.num_fine_nodes)
+         for vb in basis.vertex_bases),
+        2 * basis.grid.num_fine_nodes)
 
 
 def build_coarse_pressure(grid):

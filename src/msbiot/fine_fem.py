@@ -13,6 +13,8 @@ The mesh is either the fine grid (``GridHierarchy``) or a patch of it
 (``grid.Neighborhood``); an assembler reads only its ``cell_nodes``,
 ``cell_edges``, ``h`` and ``num_fine_*`` counts, so on a patch the
 matrix comes out directly in the patch's local numbering.
+``assemble_patches`` assembles many congruent patches at once, and
+``Gather`` cuts sub-blocks out of each by maps made once per shape.
 """
 
 from functools import cached_property
@@ -196,23 +198,110 @@ def prolongation(blocks, nrows):
     """Sparse prolongation whose columns are local fields placed in the
     global numbering, block after block.
 
-    blocks yields (rows, fields): the global index of each local DOF and
-    the local field columns to keep.  Returns (R, modes), where
-    modes[c] is column c's index among its block's fields.
+    blocks yields (rows, fields): the global index of each local DOF, in
+    ascending order, and the local field columns to keep.  R is built
+    column by column, so no entry is sorted or summed.  Returns
+    (R, modes), where modes[c] is column c's index among its block's
+    fields.
     """
-    rows, cols, vals, modes = [], [], [], []
-    ncol = 0
+    rows, vals, sizes, modes = [], [], [], []
     for idx, fields in blocks:
         k = fields.shape[1]
         rows.append(np.tile(idx, k))
-        cols.append(np.repeat(np.arange(ncol, ncol + k), len(idx)))
         vals.append(fields.T.ravel())
+        sizes.append(np.full(k, len(idx)))
         modes.append(np.arange(k))
-        ncol += k
-    R = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nrows, ncol)).tocsr()
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    R = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                      shape=(nrows, len(indptr) - 1)).tocsr()
     return R, np.concatenate(modes)
+
+
+# ---- patches of one shape ----------------------------------------------
+
+# cells per stacked assembly: a run of congruent patches holds COO
+# arrays of about 1.5 kB per cell for elasticity, so at most about 2 MB
+_STACK_CELLS = 1 << 10
+
+
+def assemble_patches(patches, assemble):
+    """Matrices assembled on every patch, with one assembly per run of
+    congruent patches.
+
+    assemble(mesh, cells) returns a tuple of sparse matrices assembled on
+    mesh, whose cells are the global fine cells ``cells``.  Consecutive
+    patches of one shape are assembled together on ``shape.stack``, in
+    runs of at most _STACK_CELLS cells (or of one larger patch), and
+    each patch's diagonal block is cut out.  SciPy's COO-to-CSR
+    conversion and its sparse sums work row by row, so a block is
+    bitwise the matrix assembled on the patch alone.  Yields one tuple
+    of CSR matrices per patch, in order.
+    """
+    run = []
+    for nb in patches:
+        if run and (nb.shape is not run[0].shape
+                    or len(run) * nb.num_fine_cells >= _STACK_CELLS):
+            yield from _assemble_run(run, assemble)
+            run = []
+        run.append(nb)
+    if run:
+        yield from _assemble_run(run, assemble)
+
+
+def _assemble_run(run, assemble):
+    mats = assemble(run[0].shape.stack(len(run)),
+                    np.concatenate([nb.fine_cells for nb in run]))
+    blocks = [_diagonal_blocks(M.tocsr(), len(run)) for M in mats]
+    yield from zip(*blocks)
+
+
+def _diagonal_blocks(M, count):
+    """The count equal diagonal blocks of a block-diagonal CSR matrix."""
+    nr, nc = M.shape[0] // count, M.shape[1] // count
+    out = []
+    for k in range(count):
+        ptr = M.indptr[k * nr:(k + 1) * nr + 1]
+        s, e = ptr[0], ptr[-1]
+        out.append(sp.csr_matrix(
+            (M.data[s:e], M.indices[s:e] - k * nc, ptr - s), shape=(nr, nc)))
+    return out
+
+
+class Gather:
+    """A sparse matrix that build makes from the entries of its arguments
+    by moving them alone (slicing, transposing, stacking), remade for
+    arguments of the same structure by one gather of their data.
+
+    build is run once, on the template arguments with their data
+    replaced by the positions 1, 2, ... of the entries in the
+    concatenated data, which then read off where each entry of the
+    result comes from.  A dense argument counts all its entries.
+    Calling with the arguments' data arrays (ravelled, for a dense one)
+    gives build's result on them, bitwise.
+    """
+
+    def __init__(self, build, *templates):
+        marked, start = [], 1
+        for t in templates:
+            size = t.nnz if sp.issparse(t) else t.size
+            pos = np.arange(start, start + size, dtype=float)
+            if sp.issparse(t):
+                t = t.copy()
+                t.data = pos
+            else:
+                t = pos.reshape(t.shape)
+            marked.append(t)
+            start += size
+        out = build(*marked)
+        self._matrix = type(out)
+        self._shape, self._indices, self._indptr = \
+            out.shape, out.indices, out.indptr
+        self._take = out.data.astype(np.intp) - 1
+
+    def __call__(self, *data):
+        return self._matrix(
+            (np.concatenate(data)[self._take], self._indices, self._indptr),
+            shape=self._shape)
 
 
 # ---- assembly routines -------------------------------------------------

@@ -10,13 +10,16 @@ ix in 0..n, iy in 0..n-1), then all horizontal edges with offset
 (n+1)*n (index iy*n + ix for ix in 0..n-1, iy in 0..n).  Coarse edges
 follow the same scheme with N in place of n.
 
-Incidence is stated once: ``_cell_maps(k)`` gives each cell's edges and
-nodes on a k x k grid, for the fine grid (k = n) and the coarse one
-(k = N).  Every other incidence fact is read off a map.  An edge
-is interior when two cells list it and a node when four do; the cells
-of a vertex or edge neighborhood are those whose coarse map lists it;
-``edge_cells(mesh)`` gives the cells on the two sides of every edge of
-the fine grid or of a ``Neighborhood``, in that mesh's numbering.
+Incidence is stated once: ``_cell_maps(kx, ky)`` gives each cell's
+edges and nodes on a kx x ky grid, for the fine grid (n x n), the coarse
+one (N x N) and the rectangle of a ``PatchShape``.  Every other
+incidence fact is read off a map.  An edge is interior when two cells
+list it and a node when four do; the cells of a vertex or edge
+neighborhood are those whose coarse map lists it; ``edge_cells(mesh)``
+gives the cells on the two sides of every edge of the fine grid or of a
+``Neighborhood``, in that mesh's numbering.  Congruent neighborhoods
+share the ``PatchShape`` of their size, so a local problem's layout is
+found once per shape.
 """
 
 import numpy as np
@@ -62,6 +65,7 @@ class GridHierarchy:
         # an edge is interior when two cells list it, a node when four do
         self._interior_coarse_edge = _listed(self.coarse_cell_edges, 2)
         self._interior_coarse_vertex = _listed(self.coarse_cell_nodes, 4)
+        self._shapes = {}
 
     # ---- index helpers -------------------------------------------------
 
@@ -130,6 +134,12 @@ class GridHierarchy:
         i = _checked(i, self.num_coarse_edges, "coarse edge")
         return Neighborhood(_cells_listing(self.coarse_cell_edges, i), self)
 
+    def patch_shape(self, cx, cy):
+        """The one PatchShape of cx x cy fine cells on this grid."""
+        if (cx, cy) not in self._shapes:
+            self._shapes[cx, cy] = PatchShape(cx, cy, self)
+        return self._shapes[cx, cy]
+
     # ---- boundary ------------------------------------------------------
 
     def boundary_fine_nodes(self):
@@ -144,8 +154,56 @@ class GridHierarchy:
         return np.sort(edges[_listed(self.cell_edges, 1)[edges]])
 
 
+class PatchShape:
+    """A rectangle of cx x cy fine cells, as a mesh in its own numbering.
+
+    Cells and nodes are numbered row-major and vertical edges before
+    horizontal ones, as on the grid.  Every patch of this size has these
+    cell maps, so congruent patches share one ``PatchShape`` (from
+    ``GridHierarchy.patch_shape``), and a matrix assembled on a patch has
+    the structure of one assembled on its shape.  The ``*_offsets``
+    arrays hold the global index of each local entity of the patch whose
+    south-west fine cell is cell 0.
+    """
+
+    def __init__(self, cx, cy, grid):
+        self.h = grid.h
+        self.cell_edges, self.cell_nodes = _cell_maps(cx, cy)
+        self.num_fine_cells = cx * cy
+        self.num_fine_nodes = (cx + 1) * (cy + 1)
+        self.num_fine_edges = cy * (cx + 1) + (cy + 1) * cx
+        n = grid.n
+        self.cell_offsets = _rect(cx, cy, n)
+        self.node_offsets = _rect(cx + 1, cy + 1, n + 1)
+        self.edge_offsets = np.concatenate([
+            _rect(cx + 1, cy, n + 1),
+            grid.num_fine_vedges + _rect(cx, cy + 1, n)])
+        # global rows of vertical edges hold n + 1, of horizontal ones n
+        self._edge_stride = np.where(
+            np.arange(self.num_fine_edges) < cy * (cx + 1), n + 1, n)
+
+    def stack(self, count):
+        """count copies of the shape numbered one after another, as one
+        mesh: a matrix assembled on it is block diagonal, with copy k's
+        matrix, in its own numbering shifted by k blocks, as block k."""
+        return _Stack(self, count)
+
+
+class _Stack:
+    def __init__(self, shape, count):
+        self.h = shape.h
+        k = np.arange(count)[:, None, None]
+        self.cell_nodes = (shape.cell_nodes
+                           + k * shape.num_fine_nodes).reshape(-1, 4)
+        self.cell_edges = (shape.cell_edges
+                           + k * shape.num_fine_edges).reshape(-1, 4)
+        self.num_fine_cells = count * shape.num_fine_cells
+        self.num_fine_nodes = count * shape.num_fine_nodes
+        self.num_fine_edges = count * shape.num_fine_edges
+
+
 class Neighborhood:
-    """A union of coarse cells, as a mesh in its own local numbering.
+    """A rectangle of coarse cells, as a mesh in its own local numbering.
 
     The local number of a fine cell, node or edge is its position in the
     sorted global arrays ``fine_cells``, ``fine_nodes``, ``fine_edges``.
@@ -153,22 +211,28 @@ class Neighborhood:
     edges in that numbering, in the grid's per-cell order.  With ``h``
     and the ``num_fine_*`` counts they are all a fine_fem assembler
     reads, so a local matrix is assembled on the neighborhood itself.
+    They are those of its ``shape``, shared by every congruent patch;
+    ``origin`` is the (x, y) fine cell index of its south-west cell.
     """
 
     def __init__(self, members, grid):
         self.members = np.asarray(members)
         self.h = grid.h
-        self.fine_cells = np.sort(np.concatenate(
-            [grid.fine_cells_of_coarse_cell(c) for c in self.members]))
-        self.fine_nodes, nodes = np.unique(grid.cell_nodes[self.fine_cells],
-                                           return_inverse=True)
-        self.fine_edges, edges = np.unique(grid.cell_edges[self.fine_cells],
-                                           return_inverse=True)
-        self.cell_nodes = nodes.reshape(-1, 4)
-        self.cell_edges = edges.reshape(-1, 4)
-        self.num_fine_cells = len(self.fine_cells)
-        self.num_fine_nodes = len(self.fine_nodes)
-        self.num_fine_edges = len(self.fine_edges)
+        m, n = grid.m, grid.n
+        IY, IX = np.divmod(self.members, grid.N)
+        cx, cy = m * (IX.max() - IX.min() + 1), m * (IY.max() - IY.min() + 1)
+        if len(set(self.members.tolist())) * m * m != cx * cy:
+            raise ValueError("coarse cells do not fill a rectangle")
+        self.shape = shape = grid.patch_shape(cx, cy)
+        self.origin = x0, y0 = m * IX.min(), m * IY.min()
+        self.fine_cells = shape.cell_offsets + (y0 * n + x0)
+        self.fine_nodes = shape.node_offsets + (y0 * (n + 1) + x0)
+        self.fine_edges = shape.edge_offsets + y0 * shape._edge_stride + x0
+        self.cell_nodes = shape.cell_nodes
+        self.cell_edges = shape.cell_edges
+        self.num_fine_cells = shape.num_fine_cells
+        self.num_fine_nodes = shape.num_fine_nodes
+        self.num_fine_edges = shape.num_fine_edges
 
     def local_cells(self, global_idx):
         return _local(self.fine_cells, global_idx, "fine cell")
@@ -180,14 +244,41 @@ class Neighborhood:
         return _local(self.fine_edges, global_idx, "fine edge")
 
 
-def _cell_maps(k):
+class Placements:
+    """Local numbers, in a neighborhood, of the cells, nodes and edges of
+    a smaller one inside it.  They depend only on the two shapes and the
+    offset between the origins, so each distinct placement is looked up
+    once; calling returns (cells, nodes, edges)."""
+
+    def __init__(self):
+        self._found = {}
+
+    def __call__(self, outer, inner):
+        key = (outer.shape, inner.shape, inner.origin[0] - outer.origin[0],
+               inner.origin[1] - outer.origin[1])
+        if key not in self._found:
+            self._found[key] = (outer.local_cells(inner.fine_cells),
+                                outer.local_nodes(inner.fine_nodes),
+                                outer.local_edges(inner.fine_edges))
+        return self._found[key]
+
+
+def _cell_maps(kx, ky=None):
     """Each cell's edges (left, right, bottom, top) and nodes (SW, SE,
-    NW, NE) on the k x k grid."""
-    iy, ix = np.divmod(np.arange(k * k), k)
-    sw = iy * (k + 1) + ix                  # also the left edge
-    bottom = (k + 1) * k + iy * k + ix
-    return (np.stack([sw, sw + 1, bottom, bottom + k], axis=1),
-            np.stack([sw, sw + 1, sw + k + 1, sw + k + 2], axis=1))
+    NW, NE) on the kx x ky grid (ky = kx by default)."""
+    ky = kx if ky is None else ky
+    iy, ix = np.divmod(np.arange(kx * ky), kx)
+    sw = iy * (kx + 1) + ix                 # also the left edge
+    bottom = (kx + 1) * ky + iy * kx + ix
+    return (np.stack([sw, sw + 1, bottom, bottom + kx], axis=1),
+            np.stack([sw, sw + 1, sw + kx + 1, sw + kx + 2], axis=1))
+
+
+def _rect(kx, ky, stride):
+    """Row-major indices of a kx x ky block of entities in rows of
+    stride entities, from entity 0."""
+    iy, ix = np.divmod(np.arange(kx * ky), kx)
+    return iy * stride + ix
 
 
 def _listed(cell_map, count):

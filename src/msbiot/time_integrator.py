@@ -217,9 +217,11 @@ class _Stepper:
     side, whose couplings are the adjoints B.T and K.T, and the scatter
     of a solution to full-length vectors.  A stepper whose _factor keeps
     solvers of the elasticity block A_ff or the Darcy block J_ff names
-    them elas and darcy, and initialize reuses them."""
+    them elas and darcy, and initialize reuses them: for the initial
+    fields named in serves, "u" by elas and "g" by darcy."""
 
     elas = darcy = None
+    serves = ()
 
     def __init__(self, ops, free_u, free_g, tau):
         self.tau = tau
@@ -254,6 +256,8 @@ class FixedStressStepper(_Stepper):
     """One step of the sequential splitting: coupled flow block, then
     elasticity driven by the fresh pressure.  The flow block sees the
     displacement change of the previous step."""
+
+    serves = ("u",)
 
     def _factor(self, A_ff, J_ff):
         K_fp = self.K_fp
@@ -339,6 +343,8 @@ class SchurFullyCoupledStepper(FullyCoupledStepper):
     to take the elasticity half from and leave it in; without one the
     stepper keeps its own."""
 
+    serves = ("u", "g")
+
     def __init__(self, ops, free_u, free_g, tau, elasticity_slot=None):
         self._slot = elasticity_slot or ElasticitySlot()
         super().__init__(ops, free_u, free_g, tau)
@@ -361,28 +367,46 @@ class SchurFullyCoupledStepper(FullyCoupledStepper):
             lambda M: _PressureSchur(M, half.chol, half.AiB, self.darcy.lu))
 
 
-def initialize(stepper, p0):
+def initialize(stepper, p0, solved=None):
     """Consistent initial state from the prescribed initial pressure.
 
     u0 solves the elasticity relation against p0; g0 solves the Darcy
     relation against p0; the previous-step displacement is set to u0.
-    The stepper's elas and darcy solvers are reused where it has them;
-    any other initial solver lives for this solve only.
+    The stepper's elas and darcy solvers are reused where it has them
+    (the fields in its ``serves``); any other field is solved with a
+    factor of its own (_one_off_solves).  solved: those one-off fields,
+    when they were solved before the stepper was built, as run does.
     """
     ops, iu, ig = stepper.ops, stepper._iu, stepper._ig
     p0 = np.asarray(p0, dtype=float)
+    if solved is None:
+        solved = _one_off_solves(ops, iu, ig, p0, stepper.serves)
     u = np.zeros(ops.A.shape[0])
     if len(iu):
-        elas = stepper.elas or _Solver(submat(ops.A, iu, iu),
-                                       "initial elasticity")
-        u[iu] = elas.solve(stepper.B_fp @ p0)
+        u[iu] = solved["u"] if "u" in solved \
+            else stepper.elas.solve(stepper.B_fp @ p0)
     g = np.zeros(ops.J.shape[0])
     if len(ig):
-        darcy = stepper.darcy or _Solver(submat(ops.J, ig, ig),
-                                         "initial flow")
-        g[ig] = darcy.solve(stepper.K_fp @ p0)
+        g[ig] = solved["g"] if "g" in solved \
+            else stepper.darcy.solve(stepper.K_fp @ p0)
     state = SystemState(u, g, p0.copy(), 0.0)
     return state, u.copy()
+
+
+def _one_off_solves(ops, iu, ig, p0, skip=()):
+    """The initial fields u0 on the free displacement DOFs iu and g0 on
+    the free velocity DOFs ig, except those named in skip, as a dict.
+    Each is solved with a SuperLU factor made for it and dropped right
+    after it.  (B p0)[iu] is bitwise B_fp p0: each row's product sums
+    the same entries in the same order."""
+    out = {}
+    if "u" not in skip and len(iu):
+        out["u"] = _Solver(submat(ops.A, iu, iu), "initial elasticity"
+                           ).solve((ops.B @ p0)[iu])
+    if "g" not in skip and len(ig):
+        out["g"] = _Solver(submat(ops.J, ig, ig), "initial flow"
+                           ).solve((ops.K @ p0)[ig])
+    return out
 
 
 def step_load(loads, k, t):
@@ -398,6 +422,12 @@ def step_load(loads, k, t):
     return loads
 
 
+def _stepper_class(cfg, schur):
+    if cfg.scheme == "fixed_stress":
+        return FixedStressStepper
+    return SchurFullyCoupledStepper if schur else FullyCoupledStepper
+
+
 def make_stepper(cfg: SchemeConfig, ops, free_u, free_g, schur=False,
                  elasticity_slot=None):
     """The stepper of cfg.scheme.  schur: factor a fully-coupled system
@@ -405,12 +435,10 @@ def make_stepper(cfg: SchemeConfig, ops, free_u, free_g, schur=False,
     system with few pressure unknowns.  elasticity_slot: an
     ElasticitySlot that such a stepper reuses.  Fixed stress ignores
     both: it keeps SuperLU factors, built for each stepper."""
-    if cfg.scheme == "fixed_stress":
-        return FixedStressStepper(ops, free_u, free_g, cfg.tau)
-    if schur:
-        return SchurFullyCoupledStepper(ops, free_u, free_g, cfg.tau,
-                                        elasticity_slot)
-    return FullyCoupledStepper(ops, free_u, free_g, cfg.tau)
+    cls = _stepper_class(cfg, schur)
+    if cls is SchurFullyCoupledStepper:
+        return cls(ops, free_u, free_g, cfg.tau, elasticity_slot)
+    return cls(ops, free_u, free_g, cfg.tau)
 
 
 def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
@@ -419,10 +447,16 @@ def run(cfg: SchemeConfig, ops, free_u, free_g, loads, p0,
 
     loads: as step_load takes them; a callable is evaluated at the end
     of each step interval.  schur, elasticity_slot: as make_stepper
-    takes them.
+    takes them.  The initial fields that the stepper's factors do not
+    serve are solved first, so that their one-off factors are freed
+    before the stepper factors its blocks.
     """
+    p0 = np.asarray(p0, dtype=float)
+    solved = _one_off_solves(ops, np.flatnonzero(free_u),
+                            np.flatnonzero(free_g), p0,
+                            _stepper_class(cfg, schur).serves)
     stepper = make_stepper(cfg, ops, free_u, free_g, schur, elasticity_slot)
-    state, u_prev = initialize(stepper, p0)
+    state, u_prev = initialize(stepper, p0, solved)
     traj = Trajectory([state.copy()])
     for k in range(cfg.J_t):
         new = stepper.step(state, u_prev,

@@ -8,6 +8,14 @@ is then reduced by a generalized eigenproblem on the edge neighborhood
 
 Snapshot fields are stored in the local edge numbering of their
 neighborhood to keep memory bounded.
+
+Local problems are set up by patch shape: the coarse blocks are all
+congruent, and so are the edge neighborhoods of each orientation, so
+their matrices are assembled together (fine_fem.assemble_patches) and
+the saddle system's layout, its fixed entries, the unit-flux right-hand
+sides and the scatter-back indices are found once.  Every SuperLU factor
+and eigenproblem still runs per patch on the arrays a per-patch assembly
+gives, so the answers are bitwise unchanged.
 """
 
 import numpy as np
@@ -16,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fine_fem
-from .grid import Neighborhood, edge_cells
+from .grid import Neighborhood, Placements, edge_cells
 
 # sign of each block side's fixed normal (left, right, bottom, top)
 # against the block's outward normal
@@ -69,45 +77,61 @@ def build_snapshot_space(grid, med):
     adjacent coarse block, so the loop runs over blocks: each block's
     saddle system (the mean-zero pressure held by a multiplier) is
     factorized once and solved at once for the unit fluxes through
-    every fine edge of its four sides.
+    every fine edge of its four sides.  The blocks are congruent, so the
+    saddle system's layout, its divergence and multiplier entries, the
+    unit-flux right-hand sides and where a block's edges and cells lie
+    in each side's neighborhood are found once; a block only gathers its
+    velocity mass into them.
     """
     snaps = [EdgeSnapshots(grid, i) for i in range(grid.num_coarse_edges)]
     m, h = grid.m, grid.h
     alpha = h / (m * h) ** 2             # |alpha| = h * N^2
     weight = med.nu / med.kappa
-    for c in range(grid.num_coarse_cells):
-        block = Neighborhood([c], grid)
-        cells, edges = block.fine_cells, block.fine_edges
-        # edges shared by two block cells are interior to the block
-        counts = np.bincount(block.cell_edges.ravel())
-        ii = np.flatnonzero(counts == 2)
-        bb = np.flatnonzero(counts != 2)
-        Jb = fine_fem.assemble_velocity_mass(block, weight[cells])
-        Kb = fine_fem.assemble_div_K(block)
-        w = np.full((len(cells), 1), h ** 2)
-        lu = spla.splu(sp.bmat([
-            [Jb[ii][:, ii], -Kb[ii], None],
-            [Kb[ii].T, None, w],
-            [None, w.T, None]], format="csc"))
+    blocks = [Neighborhood([c], grid) for c in range(grid.num_coarse_cells)]
+    first = blocks[0]
+    shape = first.shape
+    # edges shared by two block cells are interior to the block
+    counts = np.bincount(shape.cell_edges.ravel())
+    ii = np.flatnonzero(counts == 2)
+    bb = np.flatnonzero(counts != 2)
+    Kb = fine_fem.assemble_div_K(shape)
+    w = np.full((shape.num_fine_cells, 1), h ** 2)
+    fixed = (-Kb[ii], Kb[ii].T, w, w.T)
+    template = fine_fem.assemble_velocity_mass(
+        shape, np.ones(shape.num_fine_cells))
+    saddle = fine_fem.Gather(lambda J, mK, Kt, w, wt: sp.bmat([
+        [J[ii][:, ii], mK, None],
+        [Kt, None, w],
+        [None, wt, None]], format="csc"), template, *fixed)
+    fixed_data = [a.data if sp.issparse(a) else a.ravel() for a in fixed]
+    J_ib = fine_fem.Gather(lambda J: J[ii][:, bb], template)
 
-        # one column per fine edge of each side: unit flux through it,
-        # no flux through the rest of the block boundary
-        sides = grid.coarse_cell_edges[c]
-        g_B = np.zeros((len(bb), 4 * m))
-        for k, i in enumerate(sides):
-            g_B[np.searchsorted(edges[bb], grid.fine_edges_on(i)),
-                k * m + np.arange(m)] = 1.0
-        alphas = alpha * np.repeat(_SIDE_SIGNS, m)
-        sol = lu.solve(np.vstack([
-            -(Jb[ii][:, bb] @ g_B),
-            alphas * h ** 2 - Kb[bb].T @ g_B,
-            np.zeros((1, 4 * m))]))
+    # one column per fine edge of each side: unit flux through it, no
+    # flux through the rest of the block boundary; the same for every
+    # block in its local numbering
+    g_B = np.zeros((len(bb), 4 * m))
+    for k, i in enumerate(grid.coarse_cell_edges[first.members[0]]):
+        g_B[np.searchsorted(first.fine_edges[bb], grid.fine_edges_on(i)),
+            k * m + np.arange(m)] = 1.0
+    alphas = alpha * np.repeat(_SIDE_SIGNS, m)
+    rhs_p = np.vstack([alphas * h ** 2 - Kb[bb].T @ g_B,
+                       np.zeros((1, 4 * m))])
+    place = Placements()
 
-        for k, (i, sign) in enumerate(zip(sides, _SIDE_SIGNS)):
+    mats = fine_fem.assemble_patches(blocks, lambda mesh, cells: (
+        fine_fem.assemble_velocity_mass(mesh, weight[cells]),))
+    for block, (Jb,) in zip(blocks, mats):
+        c = block.members[0]
+        lu = spla.splu(saddle(Jb.data, *fixed_data))
+        sol = lu.solve(np.vstack([-(J_ib(Jb.data) @ g_B), rhs_p]))
+
+        for k, (i, sign) in enumerate(zip(grid.coarse_cell_edges[c],
+                                          _SIDE_SIGNS)):
             snap = snaps[i]
             cols = sol[:, k * m:(k + 1) * m]
-            snap.vel[snap.nb.local_edges(edges[ii])] = cols[:len(ii)]
-            snap.pressures[snap.nb.local_cells(cells)] = cols[len(ii):-1]
+            cells, _, edges = place(snap.nb, block)
+            snap.vel[edges[ii]] = cols[:len(ii)]
+            snap.pressures[cells] = cols[len(ii):-1]
             snap.alphas[list(snap.nb.members).index(c)] = sign * alpha
     return snaps
 
@@ -122,8 +146,28 @@ class EdgeBasis:
         self.fields = fields         # (len(nb.fine_edges), l) offline fields
 
 
-def spectral_reduce_1(grid, med, snap: EdgeSnapshots):
-    """Edge-flux vs neighborhood energy eigenproblem (default variant)."""
+def edge_grams(grid, med, snaps, spectral_problem):
+    """The neighborhood Gram matrix each spectral problem reads, one per
+    snapshot set: the velocity mass weighted by 1/kappa, plus the
+    div-div Gram for problem 1.  Congruent neighborhoods are assembled
+    together (fine_fem.assemble_patches), bitwise as on each alone."""
+    inv = 1.0 / med.kappa
+
+    def assemble(mesh, cells):
+        gram = fine_fem.assemble_velocity_mass(mesh, inv[cells])
+        if spectral_problem == 1:
+            gram = gram + fine_fem.assemble_divdiv(mesh)
+        return (gram,)
+
+    for (gram,) in fine_fem.assemble_patches([s.nb for s in snaps],
+                                             assemble):
+        yield gram
+
+
+def spectral_reduce_1(grid, med, snap: EdgeSnapshots, energy):
+    """Edge-flux vs neighborhood energy eigenproblem (default variant).
+    energy: the neighborhood's velocity mass plus div-div Gram, as
+    edge_grams gives it."""
     S = snap.vel
     nb = snap.nb
     loc_E = nb.local_edges(snap.fine_edges_on)
@@ -132,17 +176,15 @@ def spectral_reduce_1(grid, med, snap: EdgeSnapshots):
     # edge form is diagonal in the snapshot coordinates
     flux = S[loc_E, :]
     a_mat = flux.T @ ((grid.h / kap_e)[:, None] * flux)
-    energy = fine_fem.assemble_velocity_mass(
-        nb, 1.0 / med.kappa[nb.fine_cells]) + fine_fem.assemble_divdiv(nb)
     s_mat = S.T @ (energy @ S)
     return _edge_eigh(snap, a_mat, s_mat, allow_shift=False)
 
 
-def spectral_reduce_2(grid, med, snap: EdgeSnapshots):
-    """Neighborhood velocity form against the pressure-jump form."""
+def spectral_reduce_2(grid, med, snap: EdgeSnapshots, Jk):
+    """Neighborhood velocity form against the pressure-jump form.  Jk:
+    the neighborhood's 1/kappa-weighted velocity mass, as edge_grams
+    gives it."""
     S = snap.vel
-    nb = snap.nb
-    Jk = fine_fem.assemble_velocity_mass(nb, 1.0 / med.kappa[nb.fine_cells])
     a_mat = S.T @ (Jk @ S)
     jumps = snap.pressure_jumps()
     s_mat = grid.h * jumps.T @ jumps
@@ -159,7 +201,10 @@ def _edge_eigh(snap, a_mat, s_mat, allow_shift):
             raise RuntimeError(
                 f"snapshot Gram matrix not SPD on edge {snap.edge}")
         s_mat = s_mat + 1e-12 * np.trace(s_mat) * np.eye(len(s_mat))
-    vals, vecs = scipy.linalg.eigh(a_mat, s_mat)
+    # LAPACK works in place on Fortran-ordered copies
+    vals, vecs = scipy.linalg.eigh(
+        np.asfortranarray(a_mat), np.asfortranarray(s_mat),
+        overwrite_a=True, overwrite_b=True, check_finite=False)
     vals = np.maximum(vals, 0.0)
     return EdgeBasis(snap.edge, snap.nb, vals, snap.vel @ vecs)
 
@@ -171,8 +216,10 @@ class VelocityOfflineBasis:
     def __init__(self, grid, med, spectral_problem=1):
         reduce_fn = {1: spectral_reduce_1, 2: spectral_reduce_2}[spectral_problem]
         self.grid = grid
-        self.edge_bases = [reduce_fn(grid, med, snap)
-                           for snap in build_snapshot_space(grid, med)]
+        snaps = build_snapshot_space(grid, med)
+        self.edge_bases = [
+            reduce_fn(grid, med, snap, gram) for snap, gram in zip(
+                snaps, edge_grams(grid, med, snaps, spectral_problem))]
 
 
 def assemble_R_g(basis: VelocityOfflineBasis, bspec, J_v):

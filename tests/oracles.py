@@ -6,9 +6,18 @@ the vectorized reference-cell templates of the package.  Only the DOF
 numbering conventions (node/edge/cell indices, interleaved displacement
 components, global +x/+y edge normals) are shared, since those are
 interface contracts rather than computations.
+
+The per-patch offline systems at the end are the exception: they are
+the package's own local problems built the direct way, one patch at a
+time, against which the shape-wise builders are checked bitwise.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from msbiot import fine_fem as ff
+from msbiot import displacement_offline as do
+from msbiot.grid import Neighborhood
 
 _GP, _GW = np.polynomial.legendre.leggauss(3)
 
@@ -200,3 +209,89 @@ def dense_fully_coupled_step(ops, free_u, free_g, tau, u, p, load):
     g_new[ig] = sol[nu_:nu_ + ng]
     p_new = sol[nu_ + ng:]
     return u_new, g_new, p_new
+
+
+# ---- per-patch offline systems ----------------------------------------
+# Each system is assembled on its own grid.Neighborhood and sliced there,
+# as the offline builders did before they worked by patch shape.
+
+def patch_vertex_pencil(grid, med, j):
+    """(nb, A, S): elastic energy and (lam+2mu)-weighted mass on the
+    neighborhood of vertex j."""
+    nb = grid.vertex_neighborhood(j)
+    lam, mu = med.lam[nb.fine_cells], med.mu[nb.fine_cells]
+    return (nb, ff.assemble_elasticity(nb, lam, mu),
+            ff.assemble_vector_mass(nb, lam + 2.0 * mu))
+
+
+def patch_pou_system(grid, med, c):
+    """(A_ii, rhs): the interior elasticity matrix of block c, as CSC,
+    and the right-hand sides of its four corner hats in both
+    components; None when the block has no interior node."""
+    block = Neighborhood([c], grid)
+    nodes = block.fine_nodes
+    on_bnd = np.bincount(block.cell_nodes.ravel()) < 4
+    A = ff.assemble_elasticity(block, med.lam[block.fine_cells],
+                               med.mu[block.fine_cells])
+    bnd_dofs = np.repeat(on_bnd, 2)
+    ii = np.flatnonzero(~bnd_dofs)
+    bb = np.flatnonzero(bnd_dofs)
+    if not len(ii):
+        return None
+    xy = grid.fine_node_xy(nodes[on_bnd])
+    sol = np.zeros((2 * len(nodes), 8))
+    for k, j in enumerate(grid.coarse_cell_nodes[c]):
+        hat = do.hat_value(grid, j, xy)
+        sol[bb[0::2], 2 * k] = hat
+        sol[bb[1::2], 2 * k + 1] = hat
+    return A[ii][:, ii].tocsc(), -(A[ii][:, bb] @ sol[bb])
+
+
+def patch_snapshot_system(grid, med, c):
+    """(saddle, rhs): the Neumann saddle system of block c, as CSC, and
+    its unit-flux right-hand sides, one per fine edge of its sides."""
+    _SIDE_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+    block = Neighborhood([c], grid)
+    m, h = grid.m, grid.h
+    alpha = h / (m * h) ** 2
+    cells, edges = block.fine_cells, block.fine_edges
+    counts = np.bincount(block.cell_edges.ravel())
+    ii = np.flatnonzero(counts == 2)
+    bb = np.flatnonzero(counts != 2)
+    Jb = ff.assemble_velocity_mass(block, (med.nu / med.kappa)[cells])
+    Kb = ff.assemble_div_K(block)
+    w = np.full((len(cells), 1), h ** 2)
+    saddle = sp.bmat([[Jb[ii][:, ii], -Kb[ii], None],
+                      [Kb[ii].T, None, w],
+                      [None, w.T, None]], format="csc")
+    g_B = np.zeros((len(bb), 4 * m))
+    for k, i in enumerate(grid.coarse_cell_edges[c]):
+        g_B[np.searchsorted(edges[bb], grid.fine_edges_on(i)),
+            k * m + np.arange(m)] = 1.0
+    alphas = alpha * np.repeat(_SIDE_SIGNS, m)
+    return saddle, np.vstack([-(Jb[ii][:, bb] @ g_B),
+                              alphas * h ** 2 - Kb[bb].T @ g_B,
+                              np.zeros((1, 4 * m))])
+
+
+def patch_edge_gram(grid, med, i, spectral_problem):
+    """The Gram matrix spectral problem 1 (velocity mass plus div-div)
+    or 2 (velocity mass) reads on the neighborhood of edge i."""
+    nb = grid.edge_neighborhood(i)
+    Jk = ff.assemble_velocity_mass(nb, 1.0 / med.kappa[nb.fine_cells])
+    return Jk + ff.assemble_divdiv(nb) if spectral_problem == 1 else Jk
+
+
+def coo_prolongation(blocks, nrows):
+    """fine_fem.prolongation's R, placed entry by entry through COO."""
+    rows, cols, vals = [], [], []
+    ncol = 0
+    for idx, fields in blocks:
+        k = fields.shape[1]
+        rows.append(np.tile(idx, k))
+        cols.append(np.repeat(np.arange(ncol, ncol + k), len(idx)))
+        vals.append(fields.T.ravel())
+        ncol += k
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nrows, ncol)).tocsr()

@@ -171,6 +171,25 @@ def test_assemble_R_u_counts_and_boundary():
     assert Rb.max() < 1e-12
 
 
+def test_basis_holds_interior_vertices_only():
+    grid, med = _grid_med(N=4, n=8)
+    basis = do.DisplacementOfflineBasis(grid, med, max_modes=3)
+    interior = grid.interior_coarse_vertices()
+    assert [vb.vertex for vb in basis.vertex_bases] == list(interior)
+    # a build over every vertex, boundary ones included, whose boundary
+    # columns are then dropped, gives bitwise the same R_u
+    pou = do.build_pou(grid, med)
+    every = [do.VertexBasis(grid, med, j, pou[j], 3, None)
+             for j in range(grid.num_coarse_vertices)]
+    want, _ = ff.prolongation(
+        ((ff.node_dofs(vb.nb.fine_nodes), vb.fields) for vb in every
+         if not grid.coarse_vertex_is_boundary(vb.vertex)),
+        2 * grid.num_fine_nodes)
+    R_u, _ = do.assemble_R_u(basis, J_u=3)
+    for k in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(R_u, k), getattr(want, k))
+
+
 def test_coarse_pressure_indicators():
     grid = build_hierarchy(4, 12)
     R_p = do.build_coarse_pressure(grid)

@@ -8,6 +8,8 @@ are derandomized, so every run checks the same cases.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from msbiot.grid import build_hierarchy, Neighborhood, edge_cells
@@ -18,6 +20,8 @@ from msbiot import displacement_offline as do
 from msbiot import ms_system
 from msbiot import time_integrator as ti
 from msbiot.cli import Pipeline, ScenarioConfig
+
+import oracles
 
 cases = given(N=st.integers(2, 4), m=st.integers(1, 4),
               contrast=st.sampled_from([1.0, 1e2, 1e4]),
@@ -202,10 +206,19 @@ def test_free_columns_are_nested_and_project_as_full_width(
     assert np.array_equal(point.R_g.toarray(),
                           larger.R_g[:, lead.free_g].toarray())
     # a prolongation with a column for every coarse vertex and edge; u = 0
-    # on the whole boundary and, under model 1, g.n = 0 on it too
+    # on the whole boundary and, under model 1, g.n = 0 on it too.  The
+    # basis holds interior vertices only, so a boundary vertex's fields
+    # are built here as the basis builds an interior one's
+    pou = do.build_pou(grid, med)
+    fields = {vb.vertex: vb.fields for vb in dbasis.vertex_bases}
+    for j in range(grid.num_coarse_vertices):
+        if j not in fields:
+            _, vecs, _ = do.local_displacement_eig(grid, med, j, J_u + more)
+            fields[j] = do.multiply_basis(pou[j], vecs)
     R_u, _ = ff.prolongation(
-        ((ff.node_dofs(vb.nb.fine_nodes), vb.fields[:, :J_u])
-         for vb in dbasis.vertex_bases), 2 * grid.num_fine_nodes)
+        ((ff.node_dofs(grid.vertex_neighborhood(j).fine_nodes),
+          fields[j][:, :J_u]) for j in range(grid.num_coarse_vertices)),
+        2 * grid.num_fine_nodes)
     R_g, _ = ff.prolongation(((eb.nb.fine_edges, eb.fields[:, :J_g])
                               for eb in vbasis.edge_bases),
                              grid.num_fine_edges)
@@ -253,3 +266,90 @@ def test_zero_input_stays_exactly_zero(N, m, contrast, seed, model, scheme,
         for state in traj.states:
             for k in "ugp":
                 assert not getattr(state, k).any()
+
+
+def _same(a, b):
+    """Bitwise equal: dense arrays, or sparse matrices of one format with
+    equal indptr, indices and data."""
+    if not sp.issparse(a):
+        return not sp.issparse(b) and np.array_equal(a, b)
+    return (a.format == b.format and a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+def _factored_systems(build):
+    """build() run with SuperLU recorded: the (matrix, right-hand side)
+    of every factor and solve, in order."""
+    systems = []
+    splu = spla.splu
+
+    class Recorded:
+        def __init__(self, M):
+            self.M, self.lu = M, splu(M)
+
+        def solve(self, rhs):
+            systems.append((self.M, rhs))
+            return self.lu.solve(rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "splu", Recorded)
+        build()
+    return systems
+
+
+@small
+@given(N=st.integers(2, 4), m=st.integers(1, 4),
+       contrast=st.sampled_from([1.0, 1e2, 1e4]), seed=st.integers(0, 2 ** 16),
+       model=st.sampled_from(["model1", "model2"]),
+       problem=st.sampled_from([1, 2]), J_u=st.integers(1, 6),
+       J_g=st.integers(1, 4))
+def test_per_shape_systems_are_bitwise_per_patch(N, m, contrast, seed, model,
+                                                 problem, J_u, J_g):
+    # the builders assemble congruent patches together and gather each
+    # patch's blocks through maps made once per shape; every system they
+    # factor, solve or diagonalize is bitwise the one built on the patch
+    # alone, and so is every prolongation
+    # at m = 1 a block's snapshot pressure is its zero mean, so the jump
+    # form of spectral problem 2 is zero and its eigenproblem fails
+    assume(problem == 1 or m > 1)
+    grid, med = _grid_med(N, m, contrast, seed)
+    J_g = min(J_g, m)
+    pou = _factored_systems(lambda: do.build_pou(grid, med))
+    want = [oracles.patch_pou_system(grid, med, c)
+            for c in range(grid.num_coarse_cells)]
+    want = [w for w in want if w is not None]
+    assert len(pou) == len(want)
+    for (A_ii, rhs), (A_ref, rhs_ref) in zip(pou, want):
+        assert _same(A_ii, A_ref) and _same(rhs, rhs_ref)
+    snap = _factored_systems(lambda: vo.build_snapshot_space(grid, med))
+    assert len(snap) == grid.num_coarse_cells
+    for c, (saddle, rhs) in enumerate(snap):
+        saddle_ref, rhs_ref = oracles.patch_snapshot_system(grid, med, c)
+        assert _same(saddle, saddle_ref) and _same(rhs, rhs_ref)
+    vertices = np.arange(grid.num_coarse_vertices)
+    for j, (nb, A, S) in zip(vertices,
+                             do.vertex_pencils(grid, med, vertices)):
+        nb_ref, A_ref, S_ref = oracles.patch_vertex_pencil(grid, med, j)
+        assert np.array_equal(nb.fine_nodes, nb_ref.fine_nodes)
+        assert _same(A, A_ref) and _same(S, S_ref)
+    snaps = vo.build_snapshot_space(grid, med)
+    for i, gram in enumerate(vo.edge_grams(grid, med, snaps, problem)):
+        assert _same(gram, oracles.patch_edge_gram(grid, med, i, problem))
+
+    # prolongations: column by column, bitwise the COO placement
+    bspec = ff.BoundarySpec.model1() if model == "model1" \
+        else ff.BoundarySpec.model2()
+    dbasis = do.DisplacementOfflineBasis(grid, med, J_u)
+    R_u, _ = do.assemble_R_u(dbasis, J_u)
+    assert _same(R_u, oracles.coo_prolongation(
+        ((ff.node_dofs(vb.nb.fine_nodes), vb.fields)
+         for vb in dbasis.vertex_bases), 2 * grid.num_fine_nodes))
+    vbasis = vo.VelocityOfflineBasis(grid, med, problem)
+    gamma2 = grid.boundary_fine_edges(bspec.gamma2)
+    R_g, _ = vo.assemble_R_g(vbasis, bspec, J_g)
+    assert _same(R_g, oracles.coo_prolongation(
+        ((eb.nb.fine_edges, eb.fields[:, :J_g]) for eb in vbasis.edge_bases
+         if not np.isin(grid.fine_edges_on(eb.edge), gamma2).all()),
+        grid.num_fine_edges))

@@ -124,8 +124,11 @@ def test_spectral_reduction_sanity(problem):
 
 def test_spectral_1_eigvecs_s_orthonormal():
     grid, med = _grid_med()
-    snap = vo.build_snapshot_space(grid, med)[grid.interior_coarse_edges()[0]]
-    eb = vo.spectral_reduce_1(grid, med, snap)
+    snaps = vo.build_snapshot_space(grid, med)
+    i = grid.interior_coarse_edges()[0]
+    snap = snaps[i]
+    eb = vo.spectral_reduce_1(grid, med, snap,
+                              list(vo.edge_grams(grid, med, snaps, 1))[i])
     Jk = ff.assemble_velocity_mass(snap.nb,
                                    1.0 / med.kappa[snap.nb.fine_cells])
     DD = ff.assemble_divdiv(snap.nb)
